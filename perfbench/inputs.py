@@ -202,7 +202,7 @@ class BigramStream:
         subs = read_substitution_keys(data_dir)
         banned = concepts | in_multiword | stop | subs
 
-        # Some 230,000 candidates, held as one string and an array of
+        # Some 250,000 candidates, held as one string and an array of
         # offsets rather than as str objects, so that the benchmark's own
         # inputs add little to the process's peak RSS.  A token made from
         # two words appears twice; the encoding check drops the second.
@@ -224,10 +224,10 @@ class BigramStream:
             starts[i], starts[j] = starts[j], starts[i]
 
         self.templates: list[tuple[list[str], list[int]]] = []
-        for text, label in read_labeled(data_dir / "gate_corpus.tsv", GATE_LABELS):
+        for row, label in read_labeled(data_dir / "gate_corpus.tsv", GATE_LABELS):
             if label != "IV":
                 continue
-            words = [w for w in text.split() if w in stop or (w in concepts and "_" not in w and w not in subs)]
+            words = [w for w in row.split() if w in stop or (w in concepts and "_" not in w and w not in subs)]
             slots = [i for i, w in enumerate(words) if w not in stop]
             if slots and len(words) >= 4:
                 self.templates.append((words, slots))

@@ -15,16 +15,9 @@ from __future__ import annotations
 import time
 from collections import defaultdict
 
-PIPELINE = "pipeline"
-LAYER_OF = {
-    "sentence_polarity": PIPELINE,
-    "normalize_sentence": PIPELINE,
-    "normalize_concept": PIPELINE,
-    "encode_concept": "g2p",
-    "extract_concepts": "concepts",
-    "predict": "oov_gate",
-    "top_k": "match_index",
-}
+# Spans of the pipeline module itself; every other span name is one
+# layer's public function (see install).
+PIPELINE_SPANS = frozenset({"sentence_polarity", "normalize_sentence", "normalize_concept"})
 
 
 class Tracer:
@@ -55,20 +48,19 @@ class Tracer:
 
         return traced
 
-    def _rebind(self, owner, attr: str, name: str, note=None, instance: bool = False):
-        original = getattr(owner, attr)
-        self._restore.append((owner, attr, None if instance else original))
-        setattr(owner, attr, self.wrap(name, original, note))
+    def _rebind(self, owner, name: str, note=None, instance: bool = False):
+        original = getattr(owner, name)
+        self._restore.append((owner, name, None if instance else original))
+        setattr(owner, name, self.wrap(name, original, note))
 
     def install(self, pipeline, g2p, model=None) -> None:
-        self._rebind(pipeline, "extract_concepts", "extract_concepts",
-                     lambda a, r: sum(not c.matched_iv for c in r))
-        self._rebind(pipeline, "top_k", "top_k", lambda a, r: a[1])
-        self._rebind(pipeline, "normalize_concept", "normalize_concept",
-                     lambda a, r: (not a[0].matched_iv) and r.accepted)
-        self._rebind(g2p, "encode_concept", "encode_concept", instance=True)
+        """Wrap the calls; the notes are OOV candidates, the query, searched-and-accepted, the route."""
+        self._rebind(pipeline, "extract_concepts", lambda a, r: sum(not c.matched_iv for c in r))
+        self._rebind(pipeline, "top_k", lambda a, r: a[1])
+        self._rebind(pipeline, "normalize_concept", lambda a, r: (not a[0].matched_iv) and r.accepted)
+        self._rebind(g2p, "encode_concept", instance=True)
         if model is not None:
-            self._rebind(model, "predict", "predict", lambda a, r: r[0], instance=True)
+            self._rebind(model, "predict", lambda a, r: r[0], instance=True)
 
     def uninstall(self) -> None:
         for owner, attr, original in reversed(self._restore):
@@ -128,7 +120,7 @@ def layer_metrics(spans: list[tuple], sentences: int, pass_of, idx_delta: tuple[
         return s[name]["notes"] if name in s else []
 
     queries = calls("top_k")
-    pipeline_self_ns = sum(row["self_ns"] for name, row in s.items() if LAYER_OF[name] == PIPELINE)
+    pipeline_self_ns = sum(row["self_ns"] for name, row in s.items() if name in PIPELINE_SPANS)
     searched_accepted = sum(1 for _, accepted in notes("normalize_concept") if accepted)
     predictions = notes("predict")
     visited, asked = idx_delta if idx_delta else (0, 0)
