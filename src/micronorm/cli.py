@@ -64,12 +64,21 @@ EXIT_DATA = 2
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits 2 on bad usage; the contract here is exit 1."""
+    """argparse exits 2 on bad usage; the contract here is exit 1 with one line."""
 
     def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
+        print(f"micronorm: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
+
+
+def _at_least_one(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _env(name: str) -> str | None:
@@ -352,7 +361,7 @@ def cmd_bench(args, fmt, header):
     queries = [rng.choice(lex.entries).ipa for _ in range(args.queries)]
     t0 = time.perf_counter()
     for q in queries:
-        closest_match_scan(q, lex, k=cfg.k)
+        closest_match_scan(q, lex, k=cfg.k, variant=lex.variant)
     scan_s = time.perf_counter() - t0
     t0 = time.perf_counter()
     for q in queries:
@@ -423,7 +432,7 @@ def _add_common(sub):
     sub.add_argument("--min-sim", type=float, default=0.5, dest="min_sim")
     sub.add_argument("--max-ngram", type=int, default=4, dest="max_ngram")
     sub.add_argument("--gate-model", dest="gate_model", help="trained gate model path")
-    sub.add_argument("--threads", type=int, default=1)
+    sub.add_argument("--threads", type=_at_least_one, default=1)
 
 
 def build_parser() -> _Parser:
@@ -497,7 +506,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_eval)
 
     p = subs.add_parser("bench", help="scan-vs-index latency and gating effect")
-    p.add_argument("--queries", type=int, default=200)
+    p.add_argument("--queries", type=_at_least_one, default=200)
     p.add_argument("--corpus", help="labeled corpus for the gating benchmark")
     _add_common(p)
     p.set_defaults(func=cmd_bench)

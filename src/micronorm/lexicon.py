@@ -83,7 +83,7 @@ class PhonLexicon:
 
     @property
     def match_index(self):
-        """Inverted index over IPA encodings, built on first use."""
+        """Top-k search index over IPA encodings, built on first use."""
         if self._index is None:
             from .match_index import build_index
 

@@ -1,90 +1,80 @@
-"""Exact top-k Dice search via an inverted index over encoding symbols.
+"""Exact top-k Dice search over a dense symbol-incidence matrix.
 
-The index maps each symbol (or bigram) to the sorted list of entries
-containing it, kept both as a Python list and as an ``np.intp`` array.
-A query merges the posting arrays of its own symbols in one
-``np.bincount``, which yields the exact intersection size |A&B| for
-every entry at once; the Dice distance then follows from the stored set
-sizes without touching the encoding strings.  Entries are only scored
-when they pass the size window and intersection bound implied by the
-similarity floor (the size/overlap filter of Bayardo, Ma & Srikant,
-WWW 2007), applied as boolean masks over the whole lexicon.  The
-distance is computed in float64 exactly as ``dice_distance`` computes
-it, so the result list is identical to the exhaustive scan restricted
-to distance <= 1 - min_sim, down to the last bit of each distance.
-With min_sim = 0 the scan may also surface entries with fully disjoint
-symbol sets (distance exactly 1), so the query pads its result list
-from the non-candidates to preserve scan-equality.
+The index holds, for its variant, a 0/1 matrix with one row per symbol
+(character or bigram) of the lexicon's alphabet and one column per
+entry, plus each entry's symbol-set size.  A query sums the rows of its
+own symbols in one numpy call, which yields |A&B| for every entry at
+once; the Dice distance then follows in float64 exactly as
+``dice_distance`` computes it, down to the last bit.  Query symbols
+absent from the lexicon still count toward |A|.  Every entry is scored,
+so entries sharing no symbol sit at distance exactly 1.0 and the result
+list is identical to the exhaustive scan restricted to
+distance <= 1 - min_sim, ordered by (distance, entry_id).
+
+Bigram Dice falls back to character sets when either string is shorter
+than two characters, so a bigram index also keeps the character-set
+matrix: a short query is scored on it alone, and short entries get
+their character-set distance written over their bigram one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SimilarityError
 from .lexicon import PhonLexicon
-from .similarity import DistanceVariant, MatchResult, dice_distance, symbol_set
-
-# Slack for the candidate-generation bounds only; keeps borderline
-# entries alive through float rounding without admitting false hits
-# (the exact distance filter still decides membership).
-_EPS = 1e-9
+from .similarity import DistanceVariant, MatchResult, symbol_set
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
+class _Incidence:
+    variant: DistanceVariant
+    rows: dict[str, int]  # symbol -> matrix row
+    matrix: np.ndarray  # uint8, symbols x entries
+    # symbol-set size of each entry, as float64 so the distance needs no
+    # int-to-float cast; sums of small integers stay exact
+    sizes: np.ndarray
+    # smallest unsigned type holding the alphabet size, which bounds any
+    # column sum; narrow sums are several times faster than int64 ones
+    acc: np.dtype
+
+    def distances(self, query: str, cols=slice(None)) -> np.ndarray:
+        qsyms = symbol_set(query, self.variant)
+        hits = [self.rows[s] for s in qsyms if s in self.rows]
+        shared = self.matrix[hits][:, cols].sum(axis=0, dtype=self.acc)
+        # same float64 expression as dice_distance, so bit-identical
+        return 1.0 - 2.0 * shared / (len(qsyms) + self.sizes[cols])
+
+
+def _incidence(encodings: list[str], variant: DistanceVariant) -> _Incidence:
+    sets = [symbol_set(enc, variant) for enc in encodings]
+    rows = {sym: r for r, sym in enumerate(sorted(set().union(*sets)))}
+    lengths = [len(s) for s in sets]
+    matrix = np.zeros((len(rows), len(sets)), dtype=np.uint8)
+    matrix[[rows[sym] for s in sets for sym in s], np.repeat(np.arange(len(sets)), lengths)] = 1
+    sizes = np.array(lengths, dtype=np.float64)
+    return _Incidence(variant, rows, matrix, sizes, np.min_scalar_type(len(rows)))
+
+
+@dataclass(frozen=True, eq=False)
 class InvertedIndex:
     variant: DistanceVariant
-    postings: dict[str, list[int]]
-    sizes: list[int]
     concepts: list[str]
-    encodings: list[str]
-    # array forms of postings and sizes, read by the vectorized merge in top_k
-    posting_arrays: dict[str, np.ndarray] = field(repr=False, compare=False)
-    size_array: np.ndarray = field(repr=False, compare=False)
-    # entries too short to have a bigram; always scored under the bigram variant
-    short_entries: list[int] = field(default_factory=list)
-    # diagnostics since build: entries whose distance was computed (those
-    # passing the size window and intersection bound, plus every fallback
-    # entry and, for a 1-character bigram query, the whole lexicon) /
-    # queries answered
-    visited: int = 0
-    queries: int = 0
+    scores: _Incidence  # under the index's variant
+    chars: _Incidence  # character sets; the same object for a charset index
+    short: np.ndarray  # bigram only: entries shorter than 2, scored on chars
 
 
 def build_index(lex: PhonLexicon, variant: DistanceVariant = DistanceVariant.CHAR_SET) -> InvertedIndex:
-    postings: dict[str, list[int]] = {}
-    sizes: list[int] = []
-    short: list[int] = []
-    for entry_id, entry in enumerate(lex.entries):
-        syms = symbol_set(entry.ipa, variant)
-        sizes.append(len(syms))
-        if variant is DistanceVariant.BIGRAM and len(entry.ipa) < 2:
-            short.append(entry_id)
-        for sym in syms:
-            postings.setdefault(sym, []).append(entry_id)
-    for plist in postings.values():
-        plist.sort()
-    return InvertedIndex(
-        variant=variant,
-        postings=postings,
-        sizes=sizes,
-        concepts=[e.concept for e in lex.entries],
-        encodings=[e.ipa for e in lex.entries],
-        posting_arrays={sym: np.array(plist, dtype=np.intp) for sym, plist in postings.items()},
-        size_array=np.array(sizes, dtype=np.int64),
-        short_entries=short,
-    )
-
-
-def size_bounds(q: int, min_sim: float) -> tuple[float, float]:
-    """Set-size window for candidates: 2*min(q,m)/(q+m) >= t forces
-    t*q/(2-t) <= m <= q*(2-t)/t."""
-    if min_sim <= 0.0:
-        return 0.0, float("inf")
-    t = min_sim
-    return t * q / (2.0 - t), q * (2.0 - t) / t
+    encodings = [e.ipa for e in lex.entries]
+    concepts = [e.concept for e in lex.entries]
+    chars = _incidence(encodings, DistanceVariant.CHAR_SET)
+    if variant is DistanceVariant.CHAR_SET:
+        return InvertedIndex(variant, concepts, chars, chars, np.empty(0, dtype=np.intp))
+    short = np.flatnonzero([len(enc) < 2 for enc in encodings])
+    return InvertedIndex(variant, concepts, _incidence(encodings, variant), chars, short)
 
 
 def top_k(
@@ -104,70 +94,22 @@ def top_k(
     if not 0.0 <= min_sim <= 1.0:
         raise SimilarityError("min_sim must be in [0, 1]")
 
-    idx.queries += 1
-    n = len(idx.sizes)
-    max_dist = 1.0 - min_sim
-
-    if idx.variant is DistanceVariant.BIGRAM and len(query) < 2:
-        # every pairing falls back to character sets; nothing to prune
-        ids = np.arange(n)
-        dist = np.array(
-            [dice_distance(query, enc, idx.variant) for enc in idx.encodings], dtype=np.float64
-        )
+    if len(query) < 2:
+        dist = idx.chars.distances(query)
     else:
-        qsyms = symbol_set(query, idx.variant)
-        qsize = len(qsyms)
-        lo, hi = size_bounds(qsize, min_sim)
-        lists = [idx.posting_arrays[sym] for sym in qsyms if sym in idx.posting_arrays]
-        if lists:
-            overlap = np.bincount(np.concatenate(lists), minlength=n)
-        else:
-            overlap = np.zeros(n, dtype=np.intp)
-        # a short entry's only symbols are single characters, which no
-        # bigram query holds, so it never reaches the mask; the fallback
-        # below scores it
-        msize = idx.size_array
-        # The window and intersection bound are relaxed by a tiny epsilon
-        # so float rounding in t*(q+m) can never prune an entry whose
-        # distance lands exactly on 1 - min_sim; the final distance test
-        # below stays authoritative.  Dice needs |A&B| >= t*(|A|+|B|)/2
-        # to clear the floor.
-        passes = (
-            (overlap > 0)
-            & (msize >= lo - _EPS)
-            & (msize <= hi + _EPS)
-            & (2.0 * overlap >= min_sim * (qsize + msize) - _EPS)
-        )
-        ids = np.flatnonzero(passes)
-        # same float64 expression as dice_distance, so bit-identical
-        dist = 1.0 - 2.0 * overlap[ids] / (qsize + msize[ids])
-        if idx.short_entries:
-            ids = np.concatenate((ids, idx.short_entries))
-            dist = np.concatenate((
-                dist,
-                [dice_distance(query, idx.encodings[e], idx.variant) for e in idx.short_entries],
-            ))
-    idx.visited += len(ids)
+        dist = idx.scores.distances(query)
+        if idx.short.size:
+            dist[idx.short] = idx.chars.distances(query, idx.short)
 
-    keep = dist <= max_dist
-    ids, dist = ids[keep], dist[keep]
-    order = np.lexsort((ids, dist))[:k]
+    # nothing beyond the k-th smallest distance can make the cut; ties at
+    # it all survive, and lexsort orders them by entry_id
+    bound = 1.0 - min_sim
+    if k < dist.size:
+        bound = min(bound, np.partition(dist, k - 1)[k - 1])
+    ids = np.flatnonzero(dist <= bound)
+    order = ids[np.lexsort((ids, dist[ids]))[:k]]
     # tolist() hands back built-in int/float for callers that serialize results
-    results = list(zip(dist[order].tolist(), ids[order].tolist()))
-
-    if min_sim <= 0.0 and len(results) < k:
-        # entries sharing no symbol sit at distance exactly 1.0; merge them
-        # in by (distance, entry_id) as the scan would
-        reached = set(ids.tolist())
-        pad: list[tuple[float, int]] = []
-        for entry_id in range(n):
-            if len(pad) >= k:
-                break
-            if entry_id not in reached:
-                pad.append((1.0, entry_id))
-        results = sorted(results + pad)[:k]
-
     return [
         MatchResult(entry_id=eid, concept=idx.concepts[eid], distance=d)
-        for d, eid in results
+        for eid, d in zip(order.tolist(), dist[order].tolist())
     ]

@@ -5,6 +5,7 @@ import pytest
 
 from micronorm.cli import run
 from micronorm.resources import data_path
+from micronorm.similarity import DistanceVariant, closest_match_scan
 
 
 def _json_lines(capsys):
@@ -124,6 +125,30 @@ def test_bench_with_gate(tmp_path, capsys):
     assert {"scan_ms_per_query", "index_ms_per_query", "search_reduction"} <= set(record)
     assert record["search_reduction"] >= 0.30
     assert record["oov_label_mismatches"] == 0
+
+
+def test_bench_scans_with_the_lexicon_variant(capsys, monkeypatch):
+    seen = []
+
+    def scan(query, lex, k=1, variant=DistanceVariant.CHAR_SET):
+        seen.append(variant)
+        return closest_match_scan(query, lex, k=k, variant=variant)
+
+    monkeypatch.setattr("micronorm.cli.closest_match_scan", scan)
+    assert run(["bench", "--queries", "3", "--variant", "bigram"]) == 0
+    assert seen == [DistanceVariant.BIGRAM] * 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["bench", "--queries", "0"], ["bench", "--queries", "many"], ["eval", "--threads", "0"]],
+)
+def test_exit_usage_on_count_flag_below_one(capsys, argv):
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("micronorm: argument --")
 
 
 def test_exit_usage_on_unknown_subcommand(capsys):
