@@ -30,8 +30,10 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
+from types import MappingProxyType
 
 from .errors import EncodingError
+from .memo import Memo
 
 _VOWELS = frozenset("aeiouy")
 _CONSONANTS = frozenset("bcdfghjklmnpqrstvwxz")
@@ -164,7 +166,12 @@ def _match_left(ctx: str, s: str, i: int) -> bool:
 
 
 class G2PEngine:
-    """Immutable grapheme-to-phoneme transducer."""
+    """Grapheme-to-phoneme transducer over read-only tables.
+
+    The exception and digit tables are mapping proxies and the rules a
+    tuple, so ``encode_concept`` can memoize its encodings per engine
+    without any of them going stale.
+    """
 
     def __init__(
         self,
@@ -172,9 +179,10 @@ class G2PEngine:
         rules: list[RewriteRule],
         digit_map: dict[str, str] | None = None,
     ):
-        self.exceptions = dict(exceptions)
-        self.rules = list(rules)
-        self.digit_map = dict(digit_map or DIGIT_MAP)
+        self.exceptions = MappingProxyType(dict(exceptions))
+        self.rules = tuple(rules)
+        self.digit_map = MappingProxyType(dict(digit_map or DIGIT_MAP))
+        self.memo = Memo()  # surface -> encoding
         # rules grouped by leading pattern letter, file order preserved
         self._by_letter: dict[str, list[RewriteRule]] = {}
         for rule in self.rules:
@@ -221,7 +229,21 @@ class G2PEngine:
         return encoded
 
     def encode_concept(self, surface: str) -> str:
-        """Encode an underscore-joined concept, one segment per token."""
+        """Encode an underscore-joined concept, one segment per token.
+
+        Encodings are memoized; a concept that cannot be encoded is not,
+        so it raises ``EncodingError`` on every call.
+        """
+        ipa = self.memo.lookup(surface)
+        if ipa is None:
+            ipa = self.memo.store(surface, self.encode_unmemoized(surface))
+        return ipa
+
+    def encode_unmemoized(self, surface: str) -> str:
+        """Encode like ``encode_concept`` but bypass the memo.
+
+        For concepts encoded once each, such as a lexicon being compiled.
+        """
         return "_".join(self.encode_token(tok) for tok in surface.split("_"))
 
 

@@ -148,7 +148,7 @@ def compile_lexicon(
             raise LexiconError(f"duplicate concept {surface!r}")
         seen.add(surface)
         try:
-            ipa = g2p.encode_concept(surface)
+            ipa = g2p.encode_unmemoized(surface)  # each concept once; a memo would only churn
         except Exception as exc:
             raise LexiconError(f"cannot encode concept {surface!r}: {exc}") from exc
         entries.append(

@@ -15,16 +15,20 @@ Bigram Dice falls back to character sets when either string is shorter
 than two characters, so a bigram index also keeps the character-set
 matrix: a short query is scored on it alone, and short entries get
 their character-set distance written over their bigram one.
+
+Each index memoizes its answers by (query, k, min_sim) in a bounded
+``Memo``, so a repeated query skips the scoring.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import SimilarityError
 from .lexicon import PhonLexicon
+from .memo import Memo
 from .similarity import DistanceVariant, MatchResult, symbol_set
 
 
@@ -65,6 +69,8 @@ class InvertedIndex:
     scores: _Incidence  # under the index's variant
     chars: _Incidence  # character sets; the same object for a charset index
     short: np.ndarray  # bigram only: entries shorter than 2, scored on chars
+    # (query, k, min_sim) -> tuple of results
+    memo: Memo = field(default_factory=Memo, repr=False)
 
 
 def build_index(lex: PhonLexicon, variant: DistanceVariant = DistanceVariant.CHAR_SET) -> InvertedIndex:
@@ -84,7 +90,10 @@ def top_k(
     min_sim: float = 0.0,
     variant: DistanceVariant | None = None,
 ) -> list[MatchResult]:
-    """Top-k entries by ascending (distance, entry_id), distance <= 1 - min_sim."""
+    """Top-k entries by ascending (distance, entry_id), distance <= 1 - min_sim.
+
+    Answers are memoized per index; every call returns a fresh list.
+    """
     if variant is not None and variant is not idx.variant:
         raise SimilarityError(f"index built for {idx.variant.value}, queried as {variant.value}")
     if not query:
@@ -94,6 +103,14 @@ def top_k(
     if not 0.0 <= min_sim <= 1.0:
         raise SimilarityError("min_sim must be in [0, 1]")
 
+    key = (query, k, min_sim)
+    hit = idx.memo.lookup(key)
+    if hit is None:
+        hit = idx.memo.store(key, _search(idx, query, k, min_sim))
+    return list(hit)
+
+
+def _search(idx: InvertedIndex, query: str, k: int, min_sim: float) -> tuple[MatchResult, ...]:
     if len(query) < 2:
         dist = idx.chars.distances(query)
     else:
@@ -109,7 +126,7 @@ def top_k(
     ids = np.flatnonzero(dist <= bound)
     order = ids[np.lexsort((ids, dist[ids]))[:k]]
     # tolist() hands back built-in int/float for callers that serialize results
-    return [
+    return tuple(
         MatchResult(entry_id=eid, concept=idx.concepts[eid], distance=d)
         for eid, d in zip(order.tolist(), dist[order].tolist())
-    ]
+    )

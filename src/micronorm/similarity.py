@@ -24,7 +24,7 @@ class DistanceVariant(str, Enum):
     BIGRAM = "bigram"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MatchResult:
     entry_id: int
     concept: str

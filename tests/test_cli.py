@@ -1,9 +1,15 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import micronorm
 from micronorm.cli import run
+from micronorm.match_index import top_k
 from micronorm.resources import data_path
 from micronorm.similarity import DistanceVariant, closest_match_scan
 
@@ -137,6 +143,78 @@ def test_bench_scans_with_the_lexicon_variant(capsys, monkeypatch):
     monkeypatch.setattr("micronorm.cli.closest_match_scan", scan)
     assert run(["bench", "--queries", "3", "--variant", "bigram"]) == 0
     assert seen == [DistanceVariant.BIGRAM] * 3
+
+
+def test_bench_times_each_distinct_query_once(tmp_path, capsys, monkeypatch):
+    raw = tmp_path / "lex.tsv"
+    raw.write_text("concept\tpolarity\ngood\t0.9\nbad\t-0.8\nhappy\t0.8\nsad\t-0.7\nkill\t-0.9\n")
+    timed = []
+
+    def spy(idx, query, **kwargs):
+        timed.append(query)
+        return top_k(idx, query, **kwargs)
+
+    monkeypatch.setattr("micronorm.cli.top_k", spy)
+    assert run(["bench", "--queries", "40", "--lexicon", str(raw)]) == 0
+    (record,) = _json_lines(capsys)
+    assert len(timed) == len(set(timed)) == 5
+    assert record["queries"] == 5
+
+
+class _FlushRecorder(io.StringIO):
+    """A stdout that remembers what had been flushed."""
+
+    flushed = ""
+
+    def flush(self):
+        super().flush()
+        self.flushed = self.getvalue()
+
+
+class _SlowStdin:
+    """Hands out its lines one at a time, noting what was flushed before the second."""
+
+    def __init__(self, lines, out):
+        self.lines, self.out = lines, out
+        self.before_second = None
+
+    def __iter__(self):
+        yield self.lines[0]
+        self.before_second = self.out.flushed
+        yield from self.lines[1:]
+
+
+@pytest.mark.parametrize(
+    "command,key", [("encode", "concept"), ("normalize", "input"), ("polarity", "text")]
+)
+def test_stdin_records_flushed_as_lines_arrive(monkeypatch, command, key):
+    out = _FlushRecorder()
+    stdin = _SlowStdin(["gud\n", "hapy\n"], out)
+    monkeypatch.setattr("sys.stdout", out)
+    monkeypatch.setattr("sys.stdin", stdin)
+    assert run([command]) == 0
+    (line,) = stdin.before_second.splitlines()
+    assert json.loads(line)[key] == "gud"
+    assert len(out.getvalue().splitlines()) == 2
+
+
+def test_reader_closing_the_pipe_ends_quietly(tmp_path):
+    # like `micronorm normalize < big.txt | head -1`: more output than a pipe holds
+    lines = tmp_path / "in.txt"
+    lines.write_text("gud morning\n" * 5000)
+    with open(lines) as stdin:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "micronorm.cli", "normalize"],
+            stdin=stdin,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": str(Path(micronorm.__file__).parents[1])},
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+    assert json.loads(first)["output"] == "good morning"
+    assert (proc.returncode, err) == (0, b"")
 
 
 @pytest.mark.parametrize(

@@ -1,12 +1,25 @@
+import gc
+import weakref
+
 import pytest
 
 from micronorm.errors import EncodingError
 from micronorm.g2p import (
     G2PEngine,
     default_engine,
+    load_exceptions,
+    load_rules,
     parse_rules,
     squeeze_repeats,
 )
+from micronorm.memo import MEMO_SIZE
+from micronorm.resources import data_path
+
+
+def _fresh_engine() -> G2PEngine:
+    return G2PEngine(
+        load_exceptions(data_path("g2p_exceptions.tsv")), load_rules(data_path("g2p_rules.txt"))
+    )
 
 GOLDEN_IPA = {
     "a_little": "æ_lItæl",
@@ -115,3 +128,61 @@ def test_rule_file_size(g2p):
 def test_comment_and_blank_lines_in_rules():
     rules = parse_rules("# comment\n\n|a| -> æ\n")
     assert len(rules) == 1
+
+
+def test_tables_read_only(g2p):
+    with pytest.raises(TypeError):
+        g2p.exceptions["gud"] = "gUd"
+    with pytest.raises(TypeError):
+        g2p.rules[0] = g2p.rules[1]
+    with pytest.raises(TypeError):
+        g2p.digit_map["4"] = "for"
+
+
+def test_tables_copied_from_the_callers():
+    exceptions = {"ab": "ZZ"}
+    rules = parse_rules("|a| -> X\n|b| -> Y\n")
+    engine = G2PEngine(exceptions, rules)
+    assert engine.encode_concept("ab_ba") == "ZZ_YX"
+    exceptions["ab"] = "QQ"
+    rules.clear()
+    assert engine.encode_concept("ab_ba") == "ZZ_YX"
+    assert engine.encode_concept("ba_ab") == "YX_ZZ"
+
+
+def test_repeated_concept_memoized():
+    engine = _fresh_engine()
+    first = engine.encode_concept("b4_lunch")
+    assert engine.memo["b4_lunch"] == first
+    assert engine.encode_concept("b4_lunch") == first
+    assert len(engine.memo) == 1
+
+
+def test_encoding_error_raised_every_call():
+    engine = _fresh_engine()
+    for _ in range(3):
+        with pytest.raises(EncodingError):
+            engine.encode_concept("gud_café")
+    assert len(engine.memo) == 0
+
+
+def test_memo_bounded(lexicon):
+    engine = _fresh_engine()
+    concepts = [e.concept for e in lexicon.entries[: MEMO_SIZE + 50]]
+    for concept in concepts:
+        engine.encode_concept(concept)
+    assert len(engine.memo) == MEMO_SIZE
+    assert concepts[0] not in engine.memo
+    assert concepts[-1] in engine.memo
+
+
+def test_engine_freed_without_gc():
+    gc.disable()  # only reference counting may free it
+    try:
+        engine = _fresh_engine()
+        engine.encode_concept("gr8_day")
+        ref = weakref.ref(engine)
+        del engine
+        assert ref() is None
+    finally:
+        gc.enable()

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from micronorm.errors import LexiconError
-from micronorm.g2p import default_engine
+from micronorm.g2p import G2PEngine, default_engine
 from micronorm.lexicon import (
     canonicalize_concept,
     compile_lexicon,
@@ -60,6 +60,14 @@ def test_compile_single_entry(g2p):
     assert lex.entries[0].soundex == "A153"
     assert lex.entries[0].ipa == "æb@ndæn"
     assert lex.entries[0].polarity_label == "Negative"
+
+
+def test_compile_leaves_the_encoding_memo_alone():
+    # every concept is encoded exactly once, so memoizing would only churn
+    engine = G2PEngine(dict(default_engine().exceptions), default_engine().rules)
+    lex = compile_lexicon([("abandon", -0.84), ("a_little", 0.1)], engine)
+    assert [e.ipa for e in lex.entries] == ["æb@ndæn", "æ_lItæl"]
+    assert len(engine.memo) == 0
 
 
 def test_compile_allows_code_collisions(g2p):

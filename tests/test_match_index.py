@@ -1,6 +1,8 @@
+import gc
 import itertools
 import random
 import string
+import weakref
 
 import pytest
 
@@ -8,6 +10,7 @@ from micronorm.errors import SimilarityError
 from micronorm.g2p import default_engine
 from micronorm.lexicon import compile_lexicon
 from micronorm.match_index import build_index, top_k
+from micronorm.memo import MEMO_SIZE
 from micronorm.similarity import DistanceVariant, closest_match_scan, dice_distance
 
 
@@ -128,3 +131,58 @@ def test_bigram_index_exactness():
             if min_sim == 0.0:
                 want = scored[:3]
             assert [(m.distance, m.entry_id) for m in got] == want, (q, min_sim)
+
+
+def test_repeated_query_answers_equal(lexicon):
+    idx = build_index(lexicon)
+    first = top_k(idx, "gVd", k=5, min_sim=0.5)
+    assert len(idx.memo) == 1
+    assert top_k(idx, "gVd", k=5, min_sim=0.5) == first
+    assert first == closest_match_scan("gVd", lexicon, k=5)
+
+
+def test_returned_list_is_the_callers_own(lexicon):
+    idx = build_index(lexicon)
+    first = top_k(idx, "gVd", k=5, min_sim=0.5)
+    want = list(first)
+    first.clear()
+    assert top_k(idx, "gVd", k=5, min_sim=0.5) == want
+
+
+def test_memo_key_holds_k_and_min_sim(lexicon):
+    idx = build_index(lexicon)
+    assert len(top_k(idx, "gVd", k=5, min_sim=0.5)) == 5
+    assert len(top_k(idx, "gVd", k=2, min_sim=0.5)) == 2
+    assert top_k(idx, "gVd", k=5, min_sim=1.0) == []
+    assert len(idx.memo) == 3
+
+
+def test_arguments_checked_before_the_memo(lexicon):
+    idx = build_index(lexicon)
+    top_k(idx, "gVd", k=5, min_sim=0.5)
+    with pytest.raises(SimilarityError):
+        top_k(idx, "gVd", k=5, min_sim=0.5, variant=DistanceVariant.BIGRAM)
+
+
+def test_memo_bounded(lexicon):
+    idx = build_index(lexicon)
+    queries = sorted({e.ipa for e in lexicon.entries})[: MEMO_SIZE + 50]
+    assert len(queries) > MEMO_SIZE
+    for q in queries:
+        top_k(idx, q, k=1)
+    assert len(idx.memo) == MEMO_SIZE
+    # the oldest went first; the newest are still there
+    assert (queries[0], 1, 0.0) not in idx.memo
+    assert (queries[-1], 1, 0.0) in idx.memo
+
+
+def test_index_freed_without_gc(lexicon):
+    gc.disable()  # only reference counting may free it
+    try:
+        idx = build_index(lexicon, DistanceVariant.BIGRAM)
+        top_k(idx, "gVd", k=5, min_sim=0.5)
+        ref = weakref.ref(idx)
+        del idx
+        assert ref() is None
+    finally:
+        gc.enable()
