@@ -436,9 +436,9 @@ def _add_common(sub):
     sub.add_argument("--rules", help="G2P rewrite rules path")
     sub.add_argument("--variant", choices=("charset", "bigram"), default="charset")
     sub.add_argument("--accept-distance", type=float, default=0.45, dest="accept_distance")
-    sub.add_argument("--k", type=int, default=5)
+    sub.add_argument("--k", type=_at_least_one, default=5)
     sub.add_argument("--min-sim", type=float, default=0.5, dest="min_sim")
-    sub.add_argument("--max-ngram", type=int, default=4, dest="max_ngram")
+    sub.add_argument("--max-ngram", type=_at_least_one, default=4, dest="max_ngram")
     sub.add_argument("--gate-model", dest="gate_model", help="trained gate model path")
     sub.add_argument("--threads", type=_at_least_one, default=1)
 

@@ -1,10 +1,13 @@
 """Lexicon-driven concept extraction from a tokenized sentence.
 
-A greedy left-to-right longest-match pass tries n-grams (longest
-first) against the lexicon's surface forms.  Hits become in-vocabulary
-candidates; any other non-stopword token becomes a single-token
-out-of-vocabulary candidate for phonetic normalization.  A tiny
-substitution table rewrites pronoun-like shorthand (u, r, 2, ...)
+A greedy left-to-right pass finds, at each token, the longest lexicon
+concept that starts there.  It walks the lexicon's concept prefixes:
+from the unigram key it appends one token at a time while the key so
+far is a prefix of some multi-word concept, up to ``max_n`` tokens, and
+keeps the longest key that is itself a concept.  Hits become
+in-vocabulary candidates; any other non-stopword token becomes a
+single-token out-of-vocabulary candidate for phonetic normalization.  A
+tiny substitution table rewrites pronoun-like shorthand (u, r, 2, ...)
 before extraction.
 """
 
@@ -60,11 +63,6 @@ def default_substitutions() -> dict[str, str]:
     return load_substitutions(str(data / "substitutions.tsv"))
 
 
-def _concept_key(tokens: list[str]) -> str:
-    # tokenizer output may carry apostrophes; concept keys may not
-    return "_".join(tok.replace("'", "") for tok in tokens)
-
-
 def extract_concepts(
     sentence: str,
     lex: PhonLexicon,
@@ -73,30 +71,42 @@ def extract_concepts(
     substitutions: dict[str, str] | None = None,
 ) -> list[ConceptCandidate]:
     """Non-overlapping concept candidates tiling the sentence's tokens."""
+    return extract_from_tokens(substituted_tokens(sentence, substitutions), lex, max_n, stopwords)
+
+
+def extract_from_tokens(
+    tokens: list[str],
+    lex: PhonLexicon,
+    max_n: int = 4,
+    stopwords: frozenset[str] | None = None,
+) -> list[ConceptCandidate]:
+    """Concept candidates of already substituted tokens (see ``substituted_tokens``)."""
+    if max_n < 1:
+        raise ValueError(f"max_n must be at least 1, got {max_n}")
     if stopwords is None:
         stopwords = default_stopwords()
-    if substitutions is None:
-        substitutions = default_substitutions()
-    tokens = [substitutions.get(tok, tok) for tok in tokenize(sentence)]
+    surface_map, prefixes = lex.surface_map, lex.prefixes
+    # tokenizer output may carry apostrophes; concept keys may not
+    keys = [tok.replace("'", "") for tok in tokens]
     candidates: list[ConceptCandidate] = []
     i = 0
-    while i < len(tokens):
-        hit = None
-        for n in range(min(max_n, len(tokens) - i), 0, -1):
-            key = _concept_key(tokens[i : i + n])
-            if lex.lookup(key) is not None:
-                hit = (key, n)
-                break
+    while i < len(keys):
+        key = keys[i]
+        hit, end = (key, i + 1) if key in surface_map else (None, i)
+        # a concept of n+1 tokens has its n-token key among the prefixes, so the
+        # walk never stops short of the longest concept starting at i
+        j, stop = i + 1, min(i + max_n, len(keys))
+        while j < stop and key in prefixes:
+            key = f"{key}_{keys[j]}"
+            j += 1
+            if key in surface_map:
+                hit, end = key, j
         if hit is not None:
-            key, n = hit
-            candidates.append(ConceptCandidate(concept=key, span=(i, i + n), matched_iv=True))
-            i += n
+            candidates.append(ConceptCandidate(concept=hit, span=(i, end), matched_iv=True))
+            i = end
             continue
-        tok = tokens[i]
-        if tok not in stopwords:
-            key = _concept_key([tok])
-            if key:
-                candidates.append(ConceptCandidate(concept=key, span=(i, i + 1), matched_iv=False))
+        if keys[i] and tokens[i] not in stopwords:
+            candidates.append(ConceptCandidate(concept=keys[i], span=(i, i + 1), matched_iv=False))
         i += 1
     return candidates
 

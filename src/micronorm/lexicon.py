@@ -72,6 +72,13 @@ class PhonLexicon:
     def __post_init__(self):
         if not self.surface_map:
             self.surface_map = {e.concept: i for i, e in enumerate(self.entries)}
+        # every concept cut just before each '_': "a_little" gives "a"; extraction
+        # extends an n-gram only while it is one of these
+        self.prefixes = frozenset(
+            "_".join(parts[:n])
+            for parts in (surface.split("_") for surface in self.surface_map)
+            for n in range(1, len(parts))
+        )
         self._index = None
 
     def __len__(self) -> int:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 
-from .concepts import ConceptCandidate, extract_concepts, substituted_tokens
+from .concepts import ConceptCandidate, extract_concepts, extract_from_tokens, substituted_tokens
 from .errors import ConfigError, EncodingError, MicronormError
 from .g2p import G2PEngine
 from .lexicon import PhonLexicon, polarity_label
@@ -44,6 +44,8 @@ class PipelineConfig:
             )
         if self.k < 1:
             raise ConfigError("k must be >= 1")
+        if self.max_ngram < 1:
+            raise ConfigError("max_ngram must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -128,23 +130,6 @@ def normalize_concept(
     )
 
 
-def _exact_outcome(candidate: ConceptCandidate, lex: PhonLexicon) -> NormalizationOutcome:
-    if candidate.matched_iv:
-        entry = lex.lookup(candidate.concept)
-        if entry is not None:
-            return NormalizationOutcome(
-                original=candidate.concept,
-                span=candidate.span,
-                accepted=True,
-                matched=entry.concept,
-                distance=0.0,
-                polarity_value=entry.polarity_value,
-            )
-    return NormalizationOutcome(
-        original=candidate.concept, span=candidate.span, accepted=False
-    )
-
-
 def sentence_polarity(
     sentence: str,
     lex: PhonLexicon,
@@ -165,8 +150,8 @@ def sentence_polarity(
     normalize = with_normalization and gated_as != IV
     trace = tuple(
         normalize_concept(c, lex, idx, g2p, cfg, counters)
-        if normalize
-        else _exact_outcome(c, lex)
+        if normalize or c.matched_iv
+        else NormalizationOutcome(original=c.concept, span=c.span, accepted=False)
         for c in candidates
     )
     accepted = [o.polarity_value for o in trace if o.accepted]
@@ -186,7 +171,7 @@ def normalize_sentence(
 ) -> str:
     """Rewrite accepted concept spans with their matched surface forms."""
     tokens = substituted_tokens(sentence)
-    candidates = extract_concepts(sentence, lex, max_n=cfg.max_ngram)
+    candidates = extract_from_tokens(tokens, lex, max_n=cfg.max_ngram)
     replacements: dict[int, tuple[int, str]] = {}
     for cand in candidates:
         outcome = normalize_concept(cand, lex, idx, g2p, cfg, counters)

@@ -219,7 +219,13 @@ def test_reader_closing_the_pipe_ends_quietly(tmp_path):
 
 @pytest.mark.parametrize(
     "argv",
-    [["bench", "--queries", "0"], ["bench", "--queries", "many"], ["eval", "--threads", "0"]],
+    [
+        ["bench", "--queries", "0"],
+        ["bench", "--queries", "many"],
+        ["eval", "--threads", "0"],
+        ["polarity", "--max-ngram", "0", "--text", "good morning hapy"],
+        ["polarity", "--k", "0", "--text", "good"],
+    ],
 )
 def test_exit_usage_on_count_flag_below_one(capsys, argv):
     assert run(argv) == 1
@@ -227,6 +233,18 @@ def test_exit_usage_on_count_flag_below_one(capsys, argv):
     assert captured.out == ""
     (line,) = captured.err.splitlines()
     assert line.startswith("micronorm: argument --")
+
+
+def test_python_dash_m_runs_the_cli():
+    proc = subprocess.run(
+        [sys.executable, "-m", "micronorm", "distance", "--a", "apple", "--b", "appl"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": str(Path(micronorm.__file__).parents[1])},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["distance"] == 0.143
 
 
 def test_exit_usage_on_unknown_subcommand(capsys):

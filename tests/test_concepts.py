@@ -1,16 +1,19 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from micronorm.concepts import (
     ConceptCandidate,
     default_stopwords,
     default_substitutions,
     extract_concepts,
+    extract_from_tokens,
     load_substitutions,
     load_wordlist,
     substituted_tokens,
 )
 from micronorm.g2p import default_engine
-from micronorm.lexicon import compile_lexicon
+from micronorm.lexicon import compile_lexicon, load_compiled, save_compiled
+from micronorm.resources import GATE_CORPUS, MICROTEXT_SUITE, data_path, default_lexicon
 
 
 def test_multiword_greedy_match(lexicon):
@@ -104,3 +107,116 @@ def test_default_stopwords_nontrivial():
     sw = default_stopwords()
     assert {"a", "the", "is", "of"} <= sw
     assert len(sw) >= 50
+
+
+def _oracle_extract(sentence, lex, max_n, substitutions=None):
+    """Extraction by trying every n-gram key from max_n tokens down to one."""
+    stopwords = default_stopwords()
+    tokens = substituted_tokens(sentence, substitutions)
+
+    def key(toks):
+        return "_".join(tok.replace("'", "") for tok in toks)
+
+    out, i = [], 0
+    while i < len(tokens):
+        for n in range(min(max_n, len(tokens) - i), 0, -1):
+            k = key(tokens[i : i + n])
+            if lex.lookup(k) is not None:
+                out.append(ConceptCandidate(concept=k, span=(i, i + n), matched_iv=True))
+                i += n
+                break
+        else:
+            k = key(tokens[i : i + 1])
+            if tokens[i] not in stopwords and k:
+                out.append(ConceptCandidate(concept=k, span=(i, i + 1), matched_iv=False))
+            i += 1
+    return out
+
+
+_BUNDLED = default_lexicon()
+# whole concepts (so multi-word ones occur and overlap) and single words
+_CHUNKS = sorted(
+    {e.concept.replace("_", " ") for e in _BUNDLED.entries}
+    | {w for e in _BUNDLED.entries for w in e.concept.split("_")}
+    | default_stopwords()
+    | set(default_substitutions())
+    | {"don't", "can't", "i'm", "'", "o'clock", "gud", "2morrow", "gr8"}
+)
+_MULTIWORD = sorted(e.concept.replace("_", " ") for e in _BUNDLED.entries if "_" in e.concept)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    chunks=st.lists(st.one_of(st.sampled_from(_CHUNKS), st.sampled_from(_MULTIWORD)), max_size=10),
+    max_n=st.integers(min_value=1, max_value=4),
+)
+def test_prefix_walk_matches_ngram_oracle(chunks, max_n):
+    sentence = " ".join(chunks)
+    assert extract_concepts(sentence, _BUNDLED, max_n=max_n) == _oracle_extract(
+        sentence, _BUNDLED, max_n
+    )
+
+
+_SMALL = compile_lexicon(
+    [
+        ("a", 0.1),
+        ("a_little", 0.2),
+        ("a_little_bit", 0.3),
+        ("good_morning", 0.5),
+        ("good_morning_to_you", 0.6),
+        ("bit", 0.0),
+        ("you", 0.1),
+    ],
+    default_engine(),
+)
+# values that hold '_' or are empty: keys the tokenizer itself never yields
+_ODD_SUBS = {"gm": "good_morning", "lb": "little_bit", "al": "a_little", "zz": "", "2": "to", "u": "you"}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    words=st.lists(
+        st.sampled_from(["a", "little", "bit", "good", "morning", "to", "you", "gm", "lb", "al", "zz", "2", "u", "x"]),
+        max_size=10,
+    ),
+    max_n=st.integers(min_value=1, max_value=4),
+)
+def test_prefix_walk_matches_oracle_with_odd_substitutions(words, max_n):
+    sentence = " ".join(words)
+    got = extract_concepts(sentence, _SMALL, max_n=max_n, substitutions=_ODD_SUBS)
+    assert got == _oracle_extract(sentence, _SMALL, max_n, _ODD_SUBS)
+
+
+def test_substituted_underscore_value_joins_a_longer_concept():
+    got = extract_concepts("gm 2 u", _SMALL, substitutions=_ODD_SUBS)
+    assert got == [ConceptCandidate(concept="good_morning_to_you", span=(0, 3), matched_iv=True)]
+
+
+def test_three_token_concept_found():
+    got = extract_concepts("a little bit gud", _SMALL)
+    assert got == [
+        ConceptCandidate(concept="a_little_bit", span=(0, 3), matched_iv=True),
+        ConceptCandidate(concept="gud", span=(3, 4), matched_iv=False),
+    ]
+    assert [c.concept for c in extract_concepts("a little bit", _SMALL, max_n=2)] == ["a_little", "bit"]
+
+
+def test_prefixes_are_concepts_cut_before_each_underscore():
+    assert _SMALL.prefixes == {"a", "a_little", "good", "good_morning", "good_morning_to"}
+
+
+def test_extraction_rejects_max_n_below_one():
+    with pytest.raises(ValueError):
+        extract_from_tokens(["good"], _SMALL, max_n=0)
+
+
+def test_loaded_lexicon_extracts_like_the_compiled_one(tmp_path):
+    path = tmp_path / "lex.jsonl"
+    save_compiled(_BUNDLED, path)
+    loaded = load_compiled(path)
+    assert loaded.prefixes == _BUNDLED.prefixes
+    for name in (GATE_CORPUS, MICROTEXT_SUITE):
+        with open(data_path(name), encoding="utf-8") as fh:
+            for line in fh:
+                sentence = line.partition("\t")[0]
+                assert extract_concepts(sentence, loaded) == extract_concepts(sentence, _BUNDLED)

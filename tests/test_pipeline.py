@@ -39,6 +39,21 @@ def test_config_rejects_bad_values():
     # threshold above the search ceiling would silently drop matches
     with pytest.raises(ConfigError):
         PipelineConfig(accept_distance=0.6, min_sim=0.5)
+    # extraction always tries the unigram, so no n-gram limit below one has a meaning
+    with pytest.raises(ConfigError):
+        PipelineConfig(max_ngram=0)
+
+
+def test_without_normalization_only_iv_candidates_accepted(lexicon, g2p, index, cfg):
+    counters = PipelineCounters()
+    result = sentence_polarity(
+        "good morning hapy", lexicon, index, g2p, cfg, counters=counters, with_normalization=False
+    )
+    assert [(o.original, o.accepted, o.matched, o.distance) for o in result.trace] == [
+        ("good_morning", True, "good_morning", 0.0),
+        ("hapy", False, None, None),
+    ]
+    assert counters.phonetic_searches == 0
 
 
 def test_iv_candidate_bypasses_search(lexicon, g2p, index, cfg):
