@@ -82,6 +82,16 @@ def _at_least_one(text: str) -> int:
     return value
 
 
+def _fraction(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not 0.0 <= value <= 1.0:  # also refuses nan
+        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {text}")
+    return value
+
+
 def _env(name: str) -> str | None:
     return os.environ.get(f"MICRONORM_{name}")
 
@@ -435,9 +445,9 @@ def _add_common(sub):
     sub.add_argument("--exceptions", help="G2P exception dictionary path")
     sub.add_argument("--rules", help="G2P rewrite rules path")
     sub.add_argument("--variant", choices=("charset", "bigram"), default="charset")
-    sub.add_argument("--accept-distance", type=float, default=0.45, dest="accept_distance")
+    sub.add_argument("--accept-distance", type=_fraction, default=0.45, dest="accept_distance")
     sub.add_argument("--k", type=_at_least_one, default=5)
-    sub.add_argument("--min-sim", type=float, default=0.5, dest="min_sim")
+    sub.add_argument("--min-sim", type=_fraction, default=0.5, dest="min_sim")
     sub.add_argument("--max-ngram", type=_at_least_one, default=4, dest="max_ngram")
     sub.add_argument("--gate-model", dest="gate_model", help="trained gate model path")
     sub.add_argument("--threads", type=_at_least_one, default=1)
@@ -474,7 +484,7 @@ def build_parser() -> _Parser:
     p.add_argument("--parallel", action="store_true", help="raw<TAB>normalized input")
     p.add_argument("--kind", choices=(NB_KIND, LR_KIND), default=LR_KIND)
     p.add_argument("--output", required=True)
-    p.add_argument("--test-frac", type=float, default=0.2, dest="test_frac")
+    p.add_argument("--test-frac", type=_fraction, default=0.2, dest="test_frac")
     _add_common(p)
     p.set_defaults(func=cmd_gate_train)
 
@@ -484,7 +494,7 @@ def build_parser() -> _Parser:
     p.add_argument("--parallel", action="store_true")
     p.add_argument(
         "--test-frac",
-        type=float,
+        type=_fraction,
         default=0.0,
         dest="test_frac",
         help="evaluate only the seeded held-out fraction",

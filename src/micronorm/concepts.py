@@ -9,20 +9,23 @@ in-vocabulary candidates; any other non-stopword token becomes a
 single-token out-of-vocabulary candidate for phonetic normalization.  A
 tiny substitution table rewrites pronoun-like shorthand (u, r, 2, ...)
 before extraction.
+
+Each candidate is a ``ConceptCandidate`` named tuple: immutable,
+hashable and equal by value, and built by a single ``tuple.__new__``,
+which matters since a sentence yields several.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
+from typing import NamedTuple
 
 from .lexicon import PhonLexicon
 from .oov_gate import tokenize
 
 
-@dataclass(frozen=True)
-class ConceptCandidate:
+class ConceptCandidate(NamedTuple):
     concept: str
     span: tuple[int, int]  # token offsets [start, end)
     matched_iv: bool

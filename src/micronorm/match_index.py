@@ -17,7 +17,10 @@ matrix: a short query is scored on it alone, and short entries get
 their character-set distance written over their bigram one.
 
 Each index memoizes its answers by (query, k, min_sim) in a bounded
-``Memo``, so a repeated query skips the scoring.
+``Memo``, so a repeated query skips the scoring.  The memo stores a
+tuple of ``MatchResult`` named tuples and every caller gets a fresh list
+of those same instances: sharing them is safe because neither the tuple
+nor its records can be altered.
 """
 
 from __future__ import annotations

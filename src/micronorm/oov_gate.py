@@ -77,6 +77,8 @@ def load_parallel_corpus(path) -> list[tuple[str, str]]:
 def train_test_split(
     records: list[tuple[str, str]], test_frac: float = 0.2, seed: int = 42
 ) -> tuple[list[tuple[str, str]], list[tuple[str, str]]]:
+    if not 0.0 <= test_frac <= 1.0:  # also refuses nan
+        raise GateError(f"test_frac must be in [0, 1], got {test_frac}")
     shuffled = list(records)
     random.Random(seed).shuffle(shuffled)
     n_test = int(round(len(shuffled) * test_frac))

@@ -7,12 +7,18 @@ Dice distance stays within the acceptance threshold.  Sentence
 polarity is the arithmetic mean of the accepted concepts' polarity
 values, labeled by sign (zero is Neutral); unaccepted concepts
 contribute nothing.
+
+Each candidate's resolution is a ``NormalizationOutcome`` named tuple,
+which also records the reason it was or was not accepted; the sentence
+result, built once per sentence, stays a frozen dataclass
+(``SentencePolarity``).
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .concepts import ConceptCandidate, extract_concepts, extract_from_tokens, substituted_tokens
 from .errors import ConfigError, EncodingError, MicronormError
@@ -48,8 +54,17 @@ class PipelineConfig:
             raise ConfigError("max_ngram must be >= 1")
 
 
-@dataclass(frozen=True)
-class NormalizationOutcome:
+class NormalizationOutcome(NamedTuple):
+    """How one candidate was resolved.
+
+    ``reason`` says why: ``iv`` (an in-vocabulary candidate), ``accepted``
+    (a phonetic match within ``accept_distance``), ``above_accept_distance``
+    (the best match is too far), ``no_candidate`` (no entry within
+    ``1 - min_sim``), ``encoding_error`` (G2P failed; see ``error``) or
+    ``not_normalized`` (the gate routed the sentence as IV, or
+    normalization was off).  It is None only on records built by hand.
+    """
+
     original: str
     span: tuple[int, int]
     accepted: bool
@@ -57,6 +72,7 @@ class NormalizationOutcome:
     distance: float | None = None
     polarity_value: float | None = None
     error: str | None = None
+    reason: str | None = None
 
 
 @dataclass(frozen=True)
@@ -104,12 +120,17 @@ def normalize_concept(
             matched=entry.concept,
             distance=0.0,
             polarity_value=entry.polarity_value,
+            reason="iv",
         )
     try:
         query = g2p.encode_concept(candidate.concept)
     except EncodingError as exc:
         return NormalizationOutcome(
-            original=candidate.concept, span=candidate.span, accepted=False, error=str(exc)
+            original=candidate.concept,
+            span=candidate.span,
+            accepted=False,
+            error=str(exc),
+            reason="encoding_error",
         )
     if counters is not None:
         counters.bump_search()
@@ -124,9 +145,13 @@ def normalize_concept(
             matched=entry.concept,
             distance=best.distance,
             polarity_value=entry.polarity_value,
+            reason="accepted",
         )
     return NormalizationOutcome(
-        original=candidate.concept, span=candidate.span, accepted=False
+        original=candidate.concept,
+        span=candidate.span,
+        accepted=False,
+        reason="above_accept_distance" if matches else "no_candidate",
     )
 
 
@@ -151,7 +176,9 @@ def sentence_polarity(
     trace = tuple(
         normalize_concept(c, lex, idx, g2p, cfg, counters)
         if normalize or c.matched_iv
-        else NormalizationOutcome(original=c.concept, span=c.span, accepted=False)
+        else NormalizationOutcome(
+            original=c.concept, span=c.span, accepted=False, reason="not_normalized"
+        )
         for c in candidates
     )
     accepted = [o.polarity_value for o in trace if o.accepted]

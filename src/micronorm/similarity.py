@@ -4,14 +4,14 @@ The default variant compares sets of distinct characters; the bigram
 variant compares sets of adjacent character pairs and falls back to the
 character-set form whenever either string is too short to have a bigram.
 Distances are 1 - similarity, so 0 means identical symbol sets and 1
-means disjoint ones.
+means disjoint ones.  A search hit is a ``MatchResult`` named tuple,
+immutable and hashable, so stored results can be shared between callers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import SimilarityError
 
@@ -24,8 +24,7 @@ class DistanceVariant(str, Enum):
     BIGRAM = "bigram"
 
 
-@dataclass(frozen=True, slots=True)
-class MatchResult:
+class MatchResult(NamedTuple):
     entry_id: int
     concept: str
     distance: float

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -110,6 +111,21 @@ def test_eval_deterministic_bytes(capsys):
     assert first == second
     report = json.loads(first)
     assert report["delta"] >= 0.15
+
+
+# SHA-256 of `eval` stdout on the bundled data. The test above compares two
+# runs of the same code; this one fails when a refactor changes any byte.
+EVAL_STDOUT_SHA256 = [
+    ([], "03eab419d5a6e12f0186a68d22f30e864089f5f2ba5a2aa32ab61c099b943aed"),
+    (["--variant", "bigram"], "95f47543892ab77feca917186d84cd5dfe998255aaf95ec086a753f236d977ed"),
+]
+
+
+@pytest.mark.parametrize("flags,digest", EVAL_STDOUT_SHA256)
+def test_eval_stdout_bytes_pinned(capsys, flags, digest):
+    assert run(["eval", *flags]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 def test_eval_threads_agree_with_serial(capsys):
@@ -233,6 +249,39 @@ def test_exit_usage_on_count_flag_below_one(capsys, argv):
     assert captured.out == ""
     (line,) = captured.err.splitlines()
     assert line.startswith("micronorm: argument --")
+
+
+_GATE_CORPUS = ["--corpus", data_path("gate_corpus.tsv")]
+_GATE_TRAIN = ["gate-train", *_GATE_CORPUS, "--output", "/nonexistent/gate.json"]
+_GATE_EVAL = ["gate-eval", *_GATE_CORPUS, "--model", "/nonexistent/gate.json"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [*_GATE_TRAIN, "--test-frac", "nan"],
+        [*_GATE_TRAIN, "--test-frac", "-0.5"],
+        [*_GATE_EVAL, "--test-frac", "1.5"],
+        [*_GATE_EVAL, "--test-frac", "nan"],
+        ["polarity", "--accept-distance", "nan", "--text", "good"],
+        ["polarity", "--accept-distance", "inf", "--text", "good"],
+        ["polarity", "--min-sim", "-0.1", "--text", "good"],
+        ["match", "--query", "gud", "--min-sim", "half"],
+    ],
+)
+def test_exit_usage_on_float_flag_outside_unit_range(capsys, argv):
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("micronorm: argument --")
+
+
+def test_float_flags_accept_the_bounds(capsys):
+    assert run(["match", "--query", "gud", "--min-sim", "1"]) == 0
+    assert _json_lines(capsys)[0]["matches"] == []
+    assert run(["polarity", "--accept-distance", "0", "--text", "good"]) == 0
+    assert _json_lines(capsys)[0]["label"] == "Positive"
 
 
 def test_python_dash_m_runs_the_cli():

@@ -220,3 +220,13 @@ def test_loaded_lexicon_extracts_like_the_compiled_one(tmp_path):
             for line in fh:
                 sentence = line.partition("\t")[0]
                 assert extract_concepts(sentence, loaded) == extract_concepts(sentence, _BUNDLED)
+
+
+def test_candidate_is_an_immutable_value():
+    a = ConceptCandidate(concept="gud", span=(0, 1), matched_iv=False)
+    with pytest.raises(AttributeError):
+        a.concept = "good"
+    b = ConceptCandidate("gud", (0, 1), False)
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != ConceptCandidate(concept="gud", span=(0, 1), matched_iv=True)
+    assert ConceptCandidate._fields == ("concept", "span", "matched_iv")

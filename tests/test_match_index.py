@@ -11,7 +11,7 @@ from micronorm.g2p import default_engine
 from micronorm.lexicon import compile_lexicon
 from micronorm.match_index import build_index, top_k
 from micronorm.memo import MEMO_SIZE
-from micronorm.similarity import DistanceVariant, closest_match_scan, dice_distance
+from micronorm.similarity import DistanceVariant, MatchResult, closest_match_scan, dice_distance
 
 
 def _random_queries(lexicon, n, seed):
@@ -147,6 +147,17 @@ def test_returned_list_is_the_callers_own(lexicon):
     want = list(first)
     first.clear()
     assert top_k(idx, "gVd", k=5, min_sim=0.5) == want
+
+
+def test_memoized_results_cannot_be_altered_through_a_returned_list(lexicon):
+    idx = build_index(lexicon)
+    first = top_k(idx, "gVd", k=5, min_sim=0.5)
+    want = [(m.entry_id, m.concept, m.distance) for m in first]
+    with pytest.raises(AttributeError):
+        first[0].distance = 1.0
+    first[0] = MatchResult(entry_id=-1, concept="altered", distance=0.0)
+    again = top_k(idx, "gVd", k=5, min_sim=0.5)
+    assert [(m.entry_id, m.concept, m.distance) for m in again] == want
 
 
 def test_memo_key_holds_k_and_min_sim(lexicon):

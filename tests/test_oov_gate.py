@@ -162,6 +162,17 @@ def test_train_test_split_deterministic():
     assert sorted(a_train + a_test) == sorted(TOY)
 
 
+@pytest.mark.parametrize("test_frac", [-0.5, 1.5, math.nan, math.inf])
+def test_train_test_split_rejects_fraction_outside_unit_range(test_frac):
+    with pytest.raises(GateError):
+        train_test_split(TOY, test_frac=test_frac, seed=42)
+
+
+def test_train_test_split_accepts_the_bounds():
+    assert train_test_split(TOY, test_frac=0.0, seed=42)[1] == []
+    assert train_test_split(TOY, test_frac=1.0, seed=42)[0] == []
+
+
 def test_bundled_corpus_trains_well(gate_corpus):
     train_set, test_set = train_test_split(gate_corpus, test_frac=0.2, seed=42)
     for kind in (NB_KIND, LR_KIND):

@@ -1,11 +1,15 @@
+import dataclasses
+
 import pytest
 
 from micronorm.concepts import ConceptCandidate, extract_concepts
 from micronorm.errors import ConfigError, MicronormError
-from micronorm.oov_gate import NB_KIND, train
+from micronorm.oov_gate import IV, NB_KIND, train
 from micronorm.pipeline import (
+    NormalizationOutcome,
     PipelineConfig,
     PipelineCounters,
+    SentencePolarity,
     eval_polarity,
     normalize_concept,
     normalize_sentence,
@@ -49,9 +53,9 @@ def test_without_normalization_only_iv_candidates_accepted(lexicon, g2p, index, 
     result = sentence_polarity(
         "good morning hapy", lexicon, index, g2p, cfg, counters=counters, with_normalization=False
     )
-    assert [(o.original, o.accepted, o.matched, o.distance) for o in result.trace] == [
-        ("good_morning", True, "good_morning", 0.0),
-        ("hapy", False, None, None),
+    assert [(o.original, o.accepted, o.matched, o.distance, o.reason) for o in result.trace] == [
+        ("good_morning", True, "good_morning", 0.0, "iv"),
+        ("hapy", False, None, None, "not_normalized"),
     ]
     assert counters.phonetic_searches == 0
 
@@ -191,3 +195,63 @@ def test_trace_spans_match_extraction(lexicon, g2p, index, cfg):
     result = sentence_polarity(sentence, lexicon, index, g2p, cfg)
     spans = [o.span for o in result.trace]
     assert spans == [c.span for c in extract_concepts(sentence, lexicon)]
+
+
+@pytest.mark.parametrize(
+    "concept,matched_iv,settings,reason",
+    [
+        ("good", True, {}, "iv"),
+        ("gud", False, {}, "accepted"),
+        # the best match for "gud" is "good" at 0.333
+        ("gud", False, {"accept_distance": 0.1}, "above_accept_distance"),
+        # no entry is at distance 0 from "gud"
+        ("gud", False, {"accept_distance": 0.0, "min_sim": 1.0}, "no_candidate"),
+        ("caf\u00e9", False, {}, "encoding_error"),
+    ],
+)
+def test_outcome_reason(lexicon, g2p, index, concept, matched_iv, settings, reason):
+    cand = ConceptCandidate(concept=concept, span=(0, 1), matched_iv=matched_iv)
+    out = normalize_concept(cand, lexicon, index, g2p, PipelineConfig(**settings))
+    assert out.reason == reason
+    assert out.accepted == (reason in ("iv", "accepted"))
+    assert (out.error is not None) == (reason == "encoding_error")
+
+
+def test_reason_not_normalized_when_gated_iv(lexicon, g2p, index):
+    class AlwaysIV:
+        def predict(self, text):
+            return IV, 1.0
+
+    cfg = PipelineConfig(gate_enabled=True)
+    result = sentence_polarity("good morning hapy", lexicon, index, g2p, cfg, model=AlwaysIV())
+    assert result.gated_as == IV
+    assert [o.reason for o in result.trace] == ["iv", "not_normalized"]
+
+
+def test_outcome_is_an_immutable_value():
+    a = NormalizationOutcome(original="gud", span=(0, 1), accepted=True, matched="good")
+    with pytest.raises(AttributeError):
+        a.accepted = False
+    b = NormalizationOutcome("gud", (0, 1), True, "good")
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != NormalizationOutcome(original="gud", span=(0, 1), accepted=False)
+    assert NormalizationOutcome._fields == (
+        "original",
+        "span",
+        "accepted",
+        "matched",
+        "distance",
+        "polarity_value",
+        "error",
+        "reason",
+    )
+    assert a[4:] == (None, None, None, None)
+
+
+def test_sentence_result_stays_a_dataclass(lexicon, g2p, index, cfg):
+    result = sentence_polarity("m so hapy", lexicon, index, g2p, cfg)
+    assert dataclasses.is_dataclass(SentencePolarity)
+    flipped = dataclasses.replace(result, label="Negative")
+    assert (flipped.label, flipped.trace) == ("Negative", result.trace)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        result.label = "Negative"

@@ -9,6 +9,7 @@ from micronorm.g2p import default_engine
 from micronorm.lexicon import compile_lexicon
 from micronorm.similarity import (
     DistanceVariant,
+    MatchResult,
     closest_match_scan,
     dice_distance,
     symbol_set,
@@ -125,3 +126,13 @@ def test_scan_sorted_by_distance_then_id(lexicon):
 def test_scan_rejects_bad_k(lexicon):
     with pytest.raises(SimilarityError):
         closest_match_scan("gVd", lexicon, k=0)
+
+
+def test_match_result_is_an_immutable_value():
+    a = MatchResult(entry_id=3, concept="good", distance=0.25)
+    with pytest.raises(AttributeError):
+        a.distance = 0.0
+    b = MatchResult(3, "good", 0.25)
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != MatchResult(entry_id=4, concept="good", distance=0.25)
+    assert MatchResult._fields == ("entry_id", "concept", "distance")
