@@ -25,7 +25,7 @@ from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 
 from .concepts import extract_concepts
-from .errors import MicronormError
+from .errors import EncodingError, MicronormError
 from .g2p import G2PEngine, default_engine, load_exceptions, load_rules
 from .lexicon import (
     PhonLexicon,
@@ -385,9 +385,18 @@ def cmd_bench(args, fmt, header):
     for q in queries:
         top_k(idx, q, k=cfg.k, min_sim=cfg.min_sim)
     index_s = time.perf_counter() - t0
+    tokens = sorted({tok for e in lex.entries for tok in e.concept.split("_")})
+    t0 = time.perf_counter()
+    for tok in tokens:
+        try:
+            g2p.encode_unmemoized(tok)
+        except EncodingError:  # a --rules file may not cover the lexicon's letters
+            pass
+    g2p_s = time.perf_counter() - t0
 
     out = {
         "queries": len(queries),
+        "g2p_us_per_token": round(1e6 * g2p_s / len(tokens), 3),
         "scan_ms_per_query": round(1000.0 * scan_s / len(queries), 4),
         "index_ms_per_query": round(1000.0 * index_s / len(queries), 4),
         "speedup": round(scan_s / index_s, 2) if index_s > 0 else None,
@@ -523,7 +532,7 @@ def build_parser() -> _Parser:
     _add_common(p)
     p.set_defaults(func=cmd_eval)
 
-    p = subs.add_parser("bench", help="scan-vs-index latency and gating effect")
+    p = subs.add_parser("bench", help="G2P and scan-vs-index latency, gating effect")
     p.add_argument("--queries", type=_at_least_one, default=200)
     p.add_argument("--corpus", help="labeled corpus for the gating benchmark")
     _add_common(p)

@@ -35,11 +35,19 @@ from types import MappingProxyType
 from .errors import EncodingError
 from .memo import Memo
 
-_VOWELS = frozenset("aeiouy")
-_CONSONANTS = frozenset("bcdfghjklmnpqrstvwxz")
-_VOICED = frozenset("bdvgjlmnrwz")
-_FRONT = frozenset("eiy")
+_CONSONANTS = "[bcdfghjklmnpqrstvwxz]"
+_CLASSES = {
+    "V": "[aeiouy]+",
+    ":": _CONSONANTS + "*",
+    "C": _CONSONANTS,
+    "+": "[eiy]",
+    ".": "[bdvgjlmnrwz]",
+}
 _SUFFIXES = ("ing", "ely", "er", "es", "ed", "e")
+_REVERSED_SUFFIXES = tuple(suf[::-1] for suf in _SUFFIXES)
+_LETTERS = "abcdefghijklmnopqrstuvwxyz"
+# the dispatch keys a one-letter pattern is filed under
+_KEYS_OF = {c: (c, *(c + x for x in _LETTERS)) for c in _LETTERS}
 
 DIGIT_MAP = {
     "0": "zIro",
@@ -56,12 +64,18 @@ DIGIT_MAP = {
 
 _SQUEEZE_RE = re.compile(r"(.)\1{2,}")
 _TOKEN_RE = re.compile(r"[a-z0-9-]+\Z")
+_PIECE_RE = re.compile(r"[a-z]+|[0-9]")
 _RULE_RE = re.compile(r"(.*)\|(.+?)\|(.*?)\s*->\s*(.*)")
+
+
+def _two_of(m: re.Match) -> str:
+    return m[0][:2]
 
 
 def squeeze_repeats(token: str) -> str:
     """Collapse every run of >= 3 identical characters down to 2."""
-    return _SQUEEZE_RE.sub(r"\1\1", token)
+    # a callable, since re expands a r"\1\1" template in Python on every call
+    return _SQUEEZE_RE.sub(_two_of, token)
 
 
 @dataclass(frozen=True)
@@ -87,82 +101,22 @@ def parse_rules(text: str) -> list[RewriteRule]:
     return rules
 
 
-def _match_right(ctx: str, s: str, i: int) -> bool:
-    """Match a right context starting at position i."""
-    if not ctx:
-        return True
-    el, rest = ctx[0], ctx[1:]
-    if el == "$":
-        return i >= len(s) and not rest
-    if el == ":":
-        j = i
-        while True:
-            if _match_right(rest, s, j):
-                return True
-            if j < len(s) and s[j] in _CONSONANTS:
-                j += 1
-            else:
-                return False
-    if el == "V":
-        j = i
-        matched = False
-        while j < len(s) and s[j] in _VOWELS:
-            j += 1
-            matched = True
-            if _match_right(rest, s, j):
-                return True
-        return matched and _match_right(rest, s, j)
-    if el == "C":
-        return i < len(s) and s[i] in _CONSONANTS and _match_right(rest, s, i + 1)
-    if el == "+":
-        return i < len(s) and s[i] in _FRONT and _match_right(rest, s, i + 1)
-    if el == ".":
-        return i < len(s) and s[i] in _VOICED and _match_right(rest, s, i + 1)
-    if el == "%":
-        for suf in _SUFFIXES:
-            if s.startswith(suf, i) and _match_right(rest, s, i + len(suf)):
-                return True
-        return False
-    return i < len(s) and s[i] == el and _match_right(rest, s, i + 1)
+def _context_regex(elements: str, suffixes) -> str:
+    """Regex source for a context read outward from the pattern.
 
-
-def _match_left(ctx: str, s: str, i: int) -> bool:
-    """Match a left context ending just before position i (ctx read left to right)."""
-    if not ctx:
-        return True
-    el, rest = ctx[-1], ctx[:-1]
-    if el == "$":
-        return i <= 0 and not rest
-    if el == ":":
-        j = i
-        while True:
-            if _match_left(rest, s, j):
-                return True
-            if j > 0 and s[j - 1] in _CONSONANTS:
-                j -= 1
-            else:
-                return False
-    if el == "V":
-        j = i
-        matched = False
-        while j > 0 and s[j - 1] in _VOWELS:
-            j -= 1
-            matched = True
-            if _match_left(rest, s, j):
-                return True
-        return matched and _match_left(rest, s, j)
-    if el == "C":
-        return i > 0 and s[i - 1] in _CONSONANTS and _match_left(rest, s, i - 1)
-    if el == "+":
-        return i > 0 and s[i - 1] in _FRONT and _match_left(rest, s, i - 1)
-    if el == ".":
-        return i > 0 and s[i - 1] in _VOICED and _match_left(rest, s, i - 1)
-    if el == "%":
-        for suf in _SUFFIXES:
-            if i >= len(suf) and s.endswith(suf, 0, i) and _match_left(rest, s, i - len(suf)):
-                return True
-        return False
-    return i > 0 and s[i - 1] == el and _match_left(rest, s, i - 1)
+    Each element is an existence test and the regex backtracks over
+    every way to meet it, so a context matches exactly where reading it
+    element by element could.  ``$`` holds only as the outermost element.
+    """
+    parts = []
+    for n, el in enumerate(elements):
+        if el == "$":
+            parts.append(r"\Z" if n == len(elements) - 1 else "(?!)")
+        elif el == "%":
+            parts.append("(?:" + "|".join(suffixes) + ")")
+        else:
+            parts.append(_CLASSES.get(el) or re.escape(el))
+    return "".join(parts)
 
 
 class G2PEngine:
@@ -183,23 +137,37 @@ class G2PEngine:
         self.rules = tuple(rules)
         self.digit_map = MappingProxyType(dict(digit_map or DIGIT_MAP))
         self.memo = Memo()  # surface -> encoding
-        # rules grouped by leading pattern letter, file order preserved
-        self._by_letter: dict[str, list[RewriteRule]] = {}
+        # Rules keyed by the two letters at the read position, file order
+        # kept; a one-letter pattern also sits under every key of its
+        # letter and under the letter alone, the key at a run's end.  The
+        # right regex holds the pattern too and is matched at the read
+        # position; the left one runs over the reversed run.  None stands
+        # for a test the key already passed.
+        table: dict[str, tuple] = {}
         for rule in self.rules:
-            self._by_letter.setdefault(rule.pattern[0], []).append(rule)
+            p = rule.pattern
+            left = right = None
+            if rule.left:
+                left = re.compile(_context_regex(rule.left[::-1], _REVERSED_SUFFIXES)).match
+            if rule.right or len(p) > 2:
+                right = re.compile(re.escape(p) + _context_regex(rule.right, _SUFFIXES)).match
+            entry = (left, right, len(p), rule.output)
+            # a pattern outside [a-z] never meets a run, so it needs no key
+            for key in (p[:2],) if len(p) > 1 else _KEYS_OF.get(p, ()):
+                table[key] = table.get(key, ()) + (entry,)
+        self._dispatch = MappingProxyType(table)
 
     def _apply_rules(self, run: str) -> str:
         out: list[str] = []
+        rules_at = self._dispatch.get
+        rev = run[::-1]
+        n = len(run)
         i = 0
-        while i < len(run):
-            for rule in self._by_letter.get(run[i], ()):
-                if (
-                    run.startswith(rule.pattern, i)
-                    and _match_left(rule.left, run, i)
-                    and _match_right(rule.right, run, i + len(rule.pattern))
-                ):
-                    out.append(rule.output)
-                    i += len(rule.pattern)
+        while i < n:
+            for left, right, width, output in rules_at(run[i : i + 2], ()):
+                if (right is None or right(run, i)) and (left is None or left(rev, n - i)):
+                    out.append(output)
+                    i += width
                     break
             else:
                 raise EncodingError(f"no rewrite rule matches {run!r} at position {i}")
@@ -218,7 +186,7 @@ class G2PEngine:
             raise EncodingError(f"token {token!r} has characters outside [a-z0-9-]")
         token = squeeze_repeats(token)
         parts: list[str] = []
-        for piece in re.findall(r"[a-z]+|[0-9]", token.replace("-", " ")):
+        for piece in _PIECE_RE.findall(token.replace("-", " ")):
             if piece.isdigit():
                 parts.append(self.digit_map[piece])
             else:

@@ -43,6 +43,8 @@ class PipelineConfig:
     def __post_init__(self):
         if not 0.0 <= self.accept_distance <= 1.0:
             raise ConfigError("accept_distance must be in [0, 1]")
+        if not 0.0 <= self.min_sim <= 1.0:
+            raise ConfigError("min_sim must be in [0, 1]")
         if self.accept_distance > 1.0 - self.min_sim + 1e-12:
             raise ConfigError(
                 f"accept_distance {self.accept_distance} exceeds the search ceiling "

@@ -145,6 +145,7 @@ def test_bench_with_gate(tmp_path, capsys):
     assert run(["bench", "--queries", "20", "--gate-model", str(model)]) == 0
     (record,) = _json_lines(capsys)
     assert {"scan_ms_per_query", "index_ms_per_query", "search_reduction"} <= set(record)
+    assert isinstance(record["g2p_us_per_token"], float) and record["g2p_us_per_token"] > 0
     assert record["search_reduction"] >= 0.30
     assert record["oov_label_mismatches"] == 0
 

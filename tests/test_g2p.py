@@ -1,7 +1,10 @@
 import gc
+import re
+import string
 import weakref
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from micronorm.errors import EncodingError
 from micronorm.g2p import (
@@ -186,3 +189,232 @@ def test_engine_freed_without_gc():
         assert ref() is None
     finally:
         gc.enable()
+
+
+def test_bundled_rules_cover_every_letter_without_context():
+    # a context-free one-letter rule always matches, so the shipped
+    # cascade never raises "no rewrite rule matches"
+    rules = load_rules(data_path("g2p_rules.txt"))
+    bare = {r.pattern for r in rules if len(r.pattern) == 1 and not r.left and not r.right}
+    assert set(string.ascii_lowercase) <= bare
+
+
+# --- reference interpreter: the cascade read element by element -------------
+
+_VOWELS = frozenset("aeiouy")
+_CONSONANTS = frozenset("bcdfghjklmnpqrstvwxz")
+_VOICED = frozenset("bdvgjlmnrwz")
+_FRONT = frozenset("eiy")
+_SUFFIXES = ("ing", "ely", "er", "es", "ed", "e")
+
+
+def _match_right(ctx: str, s: str, i: int) -> bool:
+    """Match a right context starting at position i."""
+    if not ctx:
+        return True
+    el, rest = ctx[0], ctx[1:]
+    if el == "$":
+        return i >= len(s) and not rest
+    if el == ":":
+        j = i
+        while True:
+            if _match_right(rest, s, j):
+                return True
+            if j < len(s) and s[j] in _CONSONANTS:
+                j += 1
+            else:
+                return False
+    if el == "V":
+        j = i
+        matched = False
+        while j < len(s) and s[j] in _VOWELS:
+            j += 1
+            matched = True
+            if _match_right(rest, s, j):
+                return True
+        return matched and _match_right(rest, s, j)
+    if el == "C":
+        return i < len(s) and s[i] in _CONSONANTS and _match_right(rest, s, i + 1)
+    if el == "+":
+        return i < len(s) and s[i] in _FRONT and _match_right(rest, s, i + 1)
+    if el == ".":
+        return i < len(s) and s[i] in _VOICED and _match_right(rest, s, i + 1)
+    if el == "%":
+        for suf in _SUFFIXES:
+            if s.startswith(suf, i) and _match_right(rest, s, i + len(suf)):
+                return True
+        return False
+    return i < len(s) and s[i] == el and _match_right(rest, s, i + 1)
+
+
+def _match_left(ctx: str, s: str, i: int) -> bool:
+    """Match a left context ending just before position i (ctx read left to right)."""
+    if not ctx:
+        return True
+    el, rest = ctx[-1], ctx[:-1]
+    if el == "$":
+        return i <= 0 and not rest
+    if el == ":":
+        j = i
+        while True:
+            if _match_left(rest, s, j):
+                return True
+            if j > 0 and s[j - 1] in _CONSONANTS:
+                j -= 1
+            else:
+                return False
+    if el == "V":
+        j = i
+        matched = False
+        while j > 0 and s[j - 1] in _VOWELS:
+            j -= 1
+            matched = True
+            if _match_left(rest, s, j):
+                return True
+        return matched and _match_left(rest, s, j)
+    if el == "C":
+        return i > 0 and s[i - 1] in _CONSONANTS and _match_left(rest, s, i - 1)
+    if el == "+":
+        return i > 0 and s[i - 1] in _FRONT and _match_left(rest, s, i - 1)
+    if el == ".":
+        return i > 0 and s[i - 1] in _VOICED and _match_left(rest, s, i - 1)
+    if el == "%":
+        for suf in _SUFFIXES:
+            if i >= len(suf) and s.endswith(suf, 0, i) and _match_left(rest, s, i - len(suf)):
+                return True
+        return False
+    return i > 0 and s[i - 1] == el and _match_left(rest, s, i - 1)
+
+
+def _oracle_apply_rules(rules, run: str) -> str:
+    out, i = [], 0
+    while i < len(run):
+        for rule in rules:
+            if (
+                run.startswith(rule.pattern, i)
+                and _match_left(rule.left, run, i)
+                and _match_right(rule.right, run, i + len(rule.pattern))
+            ):
+                out.append(rule.output)
+                i += len(rule.pattern)
+                break
+        else:
+            raise EncodingError(f"no rewrite rule matches {run!r} at position {i}")
+    return "".join(out)
+
+
+def _oracle_encode_token(engine: G2PEngine, token: str) -> str:
+    token = token.lower()
+    if not re.fullmatch(r"[a-z0-9-]+", token):
+        raise EncodingError(f"token {token!r} has characters outside [a-z0-9-]")
+    token = re.sub(r"(.)\1{2,}", r"\1\1", token)
+    parts = []
+    for piece in re.findall(r"[a-z]+|[0-9]", token.replace("-", " ")):
+        if piece.isdigit():
+            parts.append(engine.digit_map[piece])
+        elif piece in engine.exceptions:
+            parts.append(engine.exceptions[piece])
+        else:
+            parts.append(_oracle_apply_rules(engine.rules, piece))
+    encoded = "".join(parts)
+    if not encoded:
+        raise EncodingError(f"token {token!r} produced an empty encoding")
+    return encoded
+
+
+def _outcome(encode, token: str):
+    try:
+        return encode(token)
+    except EncodingError as exc:
+        return ("EncodingError", str(exc))
+
+
+def _tokens(letters: str, extra: str = ""):
+    """Tokens over letters + extra, with runs of 3 or more repeated letters mixed in."""
+    chunk = st.one_of(
+        st.text(alphabet=letters + extra, min_size=1, max_size=5),
+        st.builds(lambda c, n: c * n, st.sampled_from(letters), st.integers(3, 6)),
+    )
+    return st.lists(chunk, min_size=1, max_size=4).map("".join)
+
+
+_BUNDLED_RULES = load_rules(data_path("g2p_rules.txt"))
+_NO_EXCEPTIONS = G2PEngine({}, _BUNDLED_RULES)  # every letter run goes through the cascade
+
+
+@settings(max_examples=400, deadline=None)
+@given(token=_tokens(string.ascii_lowercase, string.digits + "-"))
+def test_compiled_cascade_matches_reference_interpreter(token):
+    for engine in (_NO_EXCEPTIONS, default_engine()):
+        assert _outcome(engine.encode_token, token) == _outcome(
+            lambda t: _oracle_encode_token(engine, t), token
+        )
+
+
+# Each context element on the left and on the right of a pattern, ahead
+# of the rules that would shadow it: vowel runs and suffixes inside a
+# context, a boundary that is not the outermost element (it never
+# holds), and no catch-all for 'o' or 'x', so some tokens meet no rule.
+_ELEMENT_RULES = parse_rules(
+    """
+    |e|$: -> E0
+    :$|e| -> E1
+    $:|e| -> E2
+    V:|e|$ -> E3
+    |e|:$ -> E4
+    |e| -> E
+    sV|t| -> T0
+    |t|Vs -> T1
+    $|t| -> T2
+    |t|$ -> T3
+    V|t| -> T4
+    |t|V -> T5
+    |t| -> T
+    C|s| -> S0
+    |s|C -> S1
+    ab|s| -> S2
+    |s|ti -> S3
+    |s| -> S
+    +|b| -> B0
+    |b|+ -> B1
+    |b| -> B
+    .|a| -> A0
+    |a|. -> A1
+    |a| -> A
+    %|x| -> X0
+    |x|%s -> X1
+    |x|% -> X2
+    |ing|$ -> NG
+    |ing| -> IN
+    $|in|V -> IN0
+    |d| -> D
+    |g| -> G
+    |i| -> I
+    |l| -> L
+    |n| -> N
+    |y| -> Y
+    """
+)
+_ELEMENT_ENGINE = G2PEngine({}, _ELEMENT_RULES)
+
+
+# tokens that meet the rules above one by one
+_ELEMENT_CASES = (
+    "e", "ste", "tee", "taas", "saat", "abs", "sti", "bib", "dab",
+    "esx", "elyx", "xings", "xes", "ingo", "innie", "xxxxo",
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(token=_tokens("abdegilnostxy", "1-"))
+def test_every_context_element_matches_reference_interpreter(token):
+    assert _outcome(_ELEMENT_ENGINE.encode_token, token) == _outcome(
+        lambda t: _oracle_encode_token(_ELEMENT_ENGINE, t), token
+    )
+
+
+def test_chosen_context_cases_match_reference_interpreter():
+    for token in _ELEMENT_CASES:
+        assert _outcome(_ELEMENT_ENGINE.encode_token, token) == _outcome(
+            lambda t: _oracle_encode_token(_ELEMENT_ENGINE, t), token
+        ), token

@@ -46,6 +46,10 @@ def test_config_rejects_bad_values():
     # extraction always tries the unigram, so no n-gram limit below one has a meaning
     with pytest.raises(ConfigError):
         PipelineConfig(max_ngram=0)
+    # refused here rather than by top_k at the first OOV search
+    for min_sim in (-0.5, 1.5, float("nan")):
+        with pytest.raises(ConfigError, match=r"min_sim must be in \[0, 1\]"):
+            PipelineConfig(min_sim=min_sim)
 
 
 def test_without_normalization_only_iv_candidates_accepted(lexicon, g2p, index, cfg):
