@@ -4,17 +4,24 @@ The index holds, for its variant, a 0/1 matrix with one row per symbol
 (character or bigram) of the lexicon's alphabet and one column per
 entry, plus each entry's symbol-set size.  A query sums the rows of its
 own symbols in one numpy call, which yields |A&B| for every entry at
-once; the Dice distance then follows in float64 exactly as
-``dice_distance`` computes it, down to the last bit.  Query symbols
-absent from the lexicon still count toward |A|.  Every entry is scored,
-so entries sharing no symbol sit at distance exactly 1.0 and the result
-list is identical to the exhaustive scan restricted to
-distance <= 1 - min_sim, ordered by (distance, entry_id).
+once.  Query symbols absent from the lexicon still count toward |A|.
+
+Only entries within 1 - min_sim are scored.  For a query of |A|
+symbols the distance 1 - 2s/(|A|+z) of an entry of set size z falls as
+the shared count s grows, so each size z has a least s that brings it
+within the bound.  That table is read off the very float64 expression
+the distance uses, over every (s, z) pair up to the widest entry, so it
+is exact; gathered per entry and memoized by (|A|, 1 - min_sim), it
+turns the cut into one integer compare.  The survivors' Dice distances
+then follow in float64 exactly as ``dice_distance`` computes them, down
+to the last bit, and the result list is identical to the exhaustive
+scan restricted to distance <= 1 - min_sim, ordered by (distance,
+entry_id).  At min_sim = 0 every entry qualifies and all are scored.
 
 Bigram Dice falls back to character sets when either string is shorter
 than two characters, so a bigram index also keeps the character-set
-matrix: a short query is scored on it alone, and short entries get
-their character-set distance written over their bigram one.
+matrix: a short query is scored on it alone, and short entries are
+scored on their character sets in place of their bigram ones.
 
 Each index memoizes its answers by (query, k, min_sim) in a bounded
 ``Memo``, so a repeated query skips the scoring.  The memo stores a
@@ -38,40 +45,65 @@ from .similarity import DistanceVariant, MatchResult, symbol_set
 @dataclass(frozen=True, eq=False)
 class _Incidence:
     variant: DistanceVariant
+    ids: np.ndarray  # entry id of each column
     rows: dict[str, int]  # symbol -> matrix row
-    matrix: np.ndarray  # uint8, symbols x entries
-    # symbol-set size of each entry, as float64 so the distance needs no
-    # int-to-float cast; sums of small integers stay exact
+    matrix: np.ndarray  # uint8, symbols x columns
+    # symbol-set size of each column's entry, as float64 so the distance
+    # needs no int-to-float cast; sums of small integers stay exact
     sizes: np.ndarray
-    # smallest unsigned type holding the alphabet size, which bounds any
-    # column sum; narrow sums are several times faster than int64 ones
+    counts: np.ndarray  # the same sizes as intp, to gather per-size tables
+    # smallest unsigned type holding the widest entry set plus one: a column
+    # sum never exceeds its entry's set size, and one more marks a size that
+    # no shared count brings within the bound; narrow sums are several times
+    # faster than int64 ones
     acc: np.dtype
+    # (|A|, 1 - min_sim) -> per-column floor
+    floors: Memo = field(default_factory=Memo, repr=False)
 
-    def distances(self, query: str, cols=slice(None)) -> np.ndarray:
+    def within(self, query: str, bound: float) -> tuple[np.ndarray, np.ndarray]:
+        """Ids of the entries within ``bound`` of ``query``, and their distances."""
         qsyms = symbol_set(query, self.variant)
         hits = [self.rows[s] for s in qsyms if s in self.rows]
-        shared = self.matrix[hits][:, cols].sum(axis=0, dtype=self.acc)
+        shared = self.matrix.take(hits, axis=0).sum(axis=0, dtype=self.acc)
+        ids, sizes = self.ids, self.sizes
+        if bound < 1.0:  # no distance exceeds 1, so at 1 every entry qualifies
+            keep = (shared >= self.floor(len(qsyms), bound)).nonzero()[0]
+            ids, shared, sizes = ids[keep], shared[keep], sizes[keep]
         # same float64 expression as dice_distance, so bit-identical
-        return 1.0 - 2.0 * shared / (len(qsyms) + self.sizes[cols])
+        return ids, 1.0 - 2.0 * shared / (len(qsyms) + sizes)
+
+    def floor(self, qsize: int, bound: float) -> np.ndarray:
+        """Per column, the fewest shared symbols that bring its entry within
+        ``bound`` of a query of ``qsize`` symbols."""
+        key = (qsize, bound)
+        floor = self.floors.lookup(key)
+        if floor is None:
+            s = np.arange(self.counts.max(initial=0) + 1, dtype=np.float64)
+            # the distance falls as s grows, so the counts it leaves beyond
+            # the bound are a prefix of 0, 1, ...; their number is the least
+            # count that qualifies, or the widest size plus one if none does
+            beyond = 1.0 - 2.0 * s[:, None] / (qsize + s) > bound
+            floor = self.floors.store(key, beyond.sum(axis=0, dtype=self.acc)[self.counts])
+        return floor
 
 
-def _incidence(encodings: list[str], variant: DistanceVariant) -> _Incidence:
-    sets = [symbol_set(enc, variant) for enc in encodings]
+def _incidence(encodings: list[str], variant: DistanceVariant, ids: np.ndarray) -> _Incidence:
+    sets = [symbol_set(encodings[i], variant) for i in ids.tolist()]
     rows = {sym: r for r, sym in enumerate(sorted(set().union(*sets)))}
-    lengths = [len(s) for s in sets]
+    counts = np.array([len(s) for s in sets], dtype=np.intp)
     matrix = np.zeros((len(rows), len(sets)), dtype=np.uint8)
-    matrix[[rows[sym] for s in sets for sym in s], np.repeat(np.arange(len(sets)), lengths)] = 1
-    sizes = np.array(lengths, dtype=np.float64)
-    return _Incidence(variant, rows, matrix, sizes, np.min_scalar_type(len(rows)))
+    matrix[[rows[sym] for s in sets for sym in s], np.repeat(np.arange(len(sets)), counts)] = 1
+    acc = np.min_scalar_type(counts.max(initial=0) + 1)
+    return _Incidence(variant, ids, rows, matrix, counts.astype(np.float64), counts, acc)
 
 
 @dataclass(frozen=True, eq=False)
 class InvertedIndex:
     variant: DistanceVariant
     concepts: list[str]
-    scores: _Incidence  # under the index's variant
+    scores: _Incidence  # under the index's variant; bigram: entries of 2+ characters
     chars: _Incidence  # character sets; the same object for a charset index
-    short: np.ndarray  # bigram only: entries shorter than 2, scored on chars
+    short: _Incidence | None  # bigram only: the character sets of shorter entries
     # (query, k, min_sim) -> tuple of results
     memo: Memo = field(default_factory=Memo, repr=False)
 
@@ -79,11 +111,15 @@ class InvertedIndex:
 def build_index(lex: PhonLexicon, variant: DistanceVariant = DistanceVariant.CHAR_SET) -> InvertedIndex:
     encodings = [e.ipa for e in lex.entries]
     concepts = [e.concept for e in lex.entries]
-    chars = _incidence(encodings, DistanceVariant.CHAR_SET)
+    chars = _incidence(encodings, DistanceVariant.CHAR_SET, np.arange(len(encodings)))
     if variant is DistanceVariant.CHAR_SET:
-        return InvertedIndex(variant, concepts, chars, chars, np.empty(0, dtype=np.intp))
-    short = np.flatnonzero([len(enc) < 2 for enc in encodings])
-    return InvertedIndex(variant, concepts, _incidence(encodings, variant), chars, short)
+        return InvertedIndex(variant, concepts, chars, chars, None)
+    is_short = np.array([len(enc) < 2 for enc in encodings], dtype=bool)
+    long = _incidence(encodings, variant, np.flatnonzero(~is_short))
+    short = None
+    if is_short.any():
+        short = _incidence(encodings, DistanceVariant.CHAR_SET, np.flatnonzero(is_short))
+    return InvertedIndex(variant, concepts, long, chars, short)
 
 
 def top_k(
@@ -114,22 +150,23 @@ def top_k(
 
 
 def _search(idx: InvertedIndex, query: str, k: int, min_sim: float) -> tuple[MatchResult, ...]:
+    bound = 1.0 - min_sim
     if len(query) < 2:
-        dist = idx.chars.distances(query)
+        ids, dist = idx.chars.within(query, bound)
     else:
-        dist = idx.scores.distances(query)
-        if idx.short.size:
-            dist[idx.short] = idx.chars.distances(query, idx.short)
+        ids, dist = idx.scores.within(query, bound)
+        if idx.short is not None:
+            short_ids, short_dist = idx.short.within(query, bound)
+            ids, dist = np.concatenate((ids, short_ids)), np.concatenate((dist, short_dist))
 
     # nothing beyond the k-th smallest distance can make the cut; ties at
     # it all survive, and lexsort orders them by entry_id
-    bound = 1.0 - min_sim
     if k < dist.size:
-        bound = min(bound, np.partition(dist, k - 1)[k - 1])
-    ids = np.flatnonzero(dist <= bound)
-    order = ids[np.lexsort((ids, dist[ids]))[:k]]
+        keep = (dist <= np.partition(dist, k - 1)[k - 1]).nonzero()[0]
+        ids, dist = ids[keep], dist[keep]
+    order = np.lexsort((ids, dist))[:k]
     # tolist() hands back built-in int/float for callers that serialize results
     return tuple(
         MatchResult(entry_id=eid, concept=idx.concepts[eid], distance=d)
-        for eid, d in zip(order.tolist(), dist[order].tolist())
+        for eid, d in zip(ids[order].tolist(), dist[order].tolist())
     )

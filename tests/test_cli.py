@@ -10,9 +10,11 @@ import pytest
 
 import micronorm
 from micronorm.cli import run
+from micronorm.g2p import G2PEngine
+from micronorm.lexicon import load_compiled
 from micronorm.match_index import top_k
 from micronorm.resources import data_path
-from micronorm.similarity import DistanceVariant, closest_match_scan
+from micronorm.similarity import DistanceVariant, closest_match_scan, dice_distance
 
 
 def _json_lines(capsys):
@@ -79,6 +81,22 @@ def test_compile_then_match(tmp_path, capsys):
     assert run(["match", "--query", "gud", "--lexicon", str(compiled)]) == 0
     (record,) = _json_lines(capsys)
     assert record["matches"][0]["concept"] == "good"
+
+
+def test_compiled_lexicon_searched_with_the_variant_flag(tmp_path, capsys):
+    raw = tmp_path / "lex.tsv"
+    raw.write_text("concept\tpolarity\ngood\t0.9\nbad\t-0.8\n")
+    compiled = tmp_path / "lex.jsonl"
+    assert run(["compile", "--input", str(raw), "--output", str(compiled), "--variant", "charset"]) == 0
+    assert _json_lines(capsys)[0]["variant"] == "charset"
+    argv = ["match", "--query", "gud", "--lexicon", str(compiled), "--variant", "bigram",
+            "--k", "2", "--min-sim", "0"]
+    assert run(argv) == 0
+    (record,) = _json_lines(capsys)
+    ipa = {e.concept: e.ipa for e in load_compiled(str(compiled)).entries}
+    want = {c: round(dice_distance(record["ipa"], e, DistanceVariant.BIGRAM), 6) for c, e in ipa.items()}
+    assert want != {c: round(dice_distance(record["ipa"], e), 6) for c, e in ipa.items()}
+    assert {m["concept"]: m["distance"] for m in record["matches"]} == want
 
 
 def test_gate_train_and_eval(tmp_path, capsys):
@@ -148,6 +166,23 @@ def test_bench_with_gate(tmp_path, capsys):
     assert isinstance(record["g2p_us_per_token"], float) and record["g2p_us_per_token"] > 0
     assert record["search_reduction"] >= 0.30
     assert record["oov_label_mismatches"] == 0
+
+
+def test_bench_times_g2p_through_the_rules(capsys, monkeypatch):
+    # every token of the bundled lexicon is an exception; timing them
+    # through the exception table would never reach the rewrite rules
+    tables = []
+
+    class Spy(G2PEngine):
+        def encode_unmemoized(self, surface):
+            tables.append(len(self.exceptions))
+            return super().encode_unmemoized(surface)
+
+    monkeypatch.setattr("micronorm.cli.G2PEngine", Spy)
+    assert run(["bench", "--queries", "1"]) == 0
+    (record,) = _json_lines(capsys)
+    assert len(tables) == 1166 and set(tables) == {0}
+    assert record["g2p_us_per_token"] > 0
 
 
 def test_bench_scans_with_the_lexicon_variant(capsys, monkeypatch):

@@ -3,15 +3,17 @@ import itertools
 import random
 import string
 import weakref
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from micronorm.errors import SimilarityError
 from micronorm.g2p import default_engine
-from micronorm.lexicon import compile_lexicon
+from micronorm.lexicon import LexiconEntry, PhonLexicon, compile_lexicon
 from micronorm.match_index import build_index, top_k
 from micronorm.memo import MEMO_SIZE
-from micronorm.similarity import DistanceVariant, MatchResult, closest_match_scan, dice_distance
+from micronorm.similarity import DistanceVariant, MatchResult, closest_match_scan, dice_distance, symbol_set
 
 
 def _random_queries(lexicon, n, seed):
@@ -46,6 +48,118 @@ def test_exactness_fuzz_small_grid(lexicon):
                 got = top_k(lexicon.match_index, query, k=k, min_sim=min_sim)
                 want = [m for m in full if m.distance <= 1.0 - min_sim][:k]
                 assert got == want, (query, k, min_sim)
+
+
+# symbols no lexicon encoding holds, to pad a query with unshared symbols
+_FRESH = "".join(chr(0x3B1 + i) for i in range(25))
+
+
+def _floor_queries(lex, variant, min_sims, per_sim, seed):
+    """Queries with an entry at distance exactly 1 - min_sim in exact arithmetic.
+
+    A prefix of an entry's encoding shares s of the entry's z symbols;
+    appending t fresh characters adds t unshared symbols, so the query
+    has s + t, and t is picked so that 2s = min_sim * (s + t + z).
+    """
+    rng = random.Random(seed)
+    entries = list(lex.entries)
+    rng.shuffle(entries)
+    found = []
+    for min_sim in min_sims:
+        m = Fraction(str(min_sim))
+        hits = 0
+        for entry in entries:
+            z = len(symbol_set(entry.ipa, variant))
+            for cut in range(2, len(entry.ipa) + 1):
+                s = len(symbol_set(entry.ipa[:cut], variant))
+                t = 2 * s / m - s - z
+                if t.denominator == 1 and 0 <= t <= len(_FRESH):
+                    query = entry.ipa[:cut] + _FRESH[: int(t)]
+                    shared = symbol_set(query, variant) & symbol_set(entry.ipa, variant)
+                    assert 2 * len(shared) == m * (len(symbol_set(query, variant)) + z)
+                    found.append(query)
+                    hits += 1
+                    break
+            if hits == per_sim:
+                break
+        assert hits == per_sim, min_sim
+    return found
+
+
+def _assert_scan_equal(idx, lex, queries, variant, ks, min_sims):
+    n = len(lex.entries)
+    for query in queries:
+        full = closest_match_scan(query, lex, k=n, variant=variant)
+        for k in ks:
+            for min_sim in min_sims:
+                got = top_k(idx, query, k=k, min_sim=min_sim)
+                want = [m for m in full if m.distance <= 1.0 - min_sim][:k]
+                assert got == want, (query, k, min_sim)
+                assert [m.distance.hex() for m in got] == [m.distance.hex() for m in want]
+
+
+@pytest.mark.parametrize("variant", list(DistanceVariant))
+def test_exactness_on_the_floor(lexicon, variant):
+    # the integer floor decides which entries get a distance at all, so
+    # entries exactly at 1 - min_sim must neither drop out nor slip in
+    min_sims = (0.0, 0.3, 0.45, 0.5, 0.9, 1.0)
+    queries = _floor_queries(lexicon, variant, min_sims[1:], per_sim=3, seed=11)
+    queries += _random_queries(lexicon, 10, seed=13)
+    idx = build_index(lexicon, variant)
+    _assert_scan_equal(idx, lexicon, queries, variant, (1, 5, 20), min_sims)
+
+
+def test_short_entries_meet_the_floor(lexicon):
+    # bigram Dice scores one-character entries on character sets; a
+    # three-symbol query holding the entry's one character sits at
+    # exactly 0.5 from it
+    ipas = [e.ipa for e in lexicon.entries[:300]] + ["æ", "b", "k", "I"]
+    lex = PhonLexicon(
+        [LexiconEntry(f"c{i}", 0.0, ipa, "") for i, ipa in enumerate(ipas)],
+        DistanceVariant.BIGRAM,
+    )
+    queries = ["æbk", "bæk", "kIæ", "æb", "Ik", "æ", "b" + _FRESH[:2], "kæbIt"]
+    queries += _floor_queries(lex, DistanceVariant.BIGRAM, (0.5, 0.9), per_sim=2, seed=17)
+    idx = build_index(lex, DistanceVariant.BIGRAM)
+    _assert_scan_equal(
+        idx, lex, queries, DistanceVariant.BIGRAM, (1, 5, 20), (0.0, 0.3, 0.45, 0.5, 2 / 3, 0.9, 1.0)
+    )
+
+
+def test_accumulator_sized_by_the_widest_entry_set(lexicon):
+    for variant in DistanceVariant:
+        idx = build_index(lexicon, variant)
+        assert idx.scores.acc == np.uint8 and idx.chars.acc == np.uint8
+    # 260 distinct characters and 259 distinct bigrams overflow uint8 sums
+    wide = "".join(chr(0x100 + i) for i in range(260))
+    ipas = [wide, wide[:200], wide[100:], wide[::2], "gUd"]
+    queries = [wide, wide[1:], wide[:255], wide[::2] + "gUd", "gUd"]
+    for variant in DistanceVariant:
+        lex = PhonLexicon(
+            [LexiconEntry(f"c{i}", 0.0, ipa, "") for i, ipa in enumerate(ipas)], variant
+        )
+        idx = build_index(lex, variant)
+        assert idx.scores.acc == np.uint16
+        for query in queries:
+            qsyms = symbol_set(query, variant)
+            hits = [idx.scores.rows[s] for s in qsyms if s in idx.scores.rows]
+            shared = idx.scores.matrix[hits].sum(axis=0, dtype=idx.scores.acc)
+            assert shared.tolist() == [len(qsyms & symbol_set(ipa, variant)) for ipa in ipas]
+        _assert_scan_equal(idx, lex, queries, variant, (1, 5), (0.0, 0.3, 0.5, 0.9, 1.0))
+
+
+def test_floor_memo_bounded(lexicon):
+    gc.disable()  # only reference counting may free the index
+    try:
+        idx = build_index(lexicon)
+        for i in range(MEMO_SIZE + 10):
+            top_k(idx, "gVd", k=1, min_sim=0.5 + i / 100_000)
+        assert len(idx.scores.floors) == MEMO_SIZE
+        ref = weakref.ref(idx)
+        del idx
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_single_symbol_entry_one_posting():
