@@ -22,7 +22,6 @@ import random
 import sys
 import time
 from collections.abc import Iterator
-from concurrent.futures import ThreadPoolExecutor
 
 from .concepts import extract_concepts
 from .errors import EncodingError, MicronormError
@@ -45,6 +44,7 @@ from .oov_gate import (
     load_model,
     load_parallel_corpus,
     save_model,
+    tokenize,
     train,
     train_test_split,
 )
@@ -162,6 +162,11 @@ def _input_lines(args) -> Iterator[str]:
     if text is not None:
         yield text
         return
+    # bytes that are not UTF-8 become U+FFFD, which the tokenizer drops,
+    # whatever error handler the locale would give stdin
+    reconfigure = getattr(sys.stdin, "reconfigure", None)
+    if reconfigure is not None:
+        reconfigure(errors="replace")
     for line in sys.stdin:
         yield line.rstrip("\n")
 
@@ -221,6 +226,9 @@ def cmd_distance(args, fmt, header):
 
 
 def cmd_match(args, fmt, header):
+    if not args.query.strip():
+        print("micronorm: --query must not be empty", file=sys.stderr)
+        return EXIT_USAGE
     g2p = _build_g2p(args)
     lex = _load_lexicon(args, g2p)
     query = g2p.encode_concept(args.query)
@@ -340,22 +348,7 @@ def cmd_eval(args, fmt, header):
     cfg = _pipeline_config(args)
     model = _load_gate(args)
     rows = _suite_rows(args.suite or data_path(MICROTEXT_SUITE))
-    if args.threads > 1:
-        # Scoring is read-only over shared immutable state; order preserved.
-        def one(row):
-            text, gold = row
-            return eval_polarity([(text, gold)], lex, lex.match_index, g2p, cfg, model=model)
-
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            partials = list(pool.map(one, rows))
-        report = {
-            "accuracy_before": sum(p["accuracy_before"] for p in partials) / len(partials),
-            "accuracy_after": sum(p["accuracy_after"] for p in partials) / len(partials),
-            "rows": [r for p in partials for r in p["rows"]],
-        }
-        report["delta"] = report["accuracy_after"] - report["accuracy_before"]
-    else:
-        report = eval_polarity(rows, lex, lex.match_index, g2p, cfg, model=model)
+    report = eval_polarity(rows, lex, lex.match_index, g2p, cfg, model=model)
     report["seed"] = args.seed
     report["config"] = {
         "accept_distance": cfg.accept_distance,
@@ -430,6 +423,29 @@ def cmd_bench(args, fmt, header):
             )
             if routed.gated_as == OOV and routed.label != plain.label:
                 mismatches += 1
+
+        # the pass above has filled the memos; the pipeline tokenizes once
+        # and hands the tokens to the gate, so a predict is timed on tokens
+        texts = [text for text, _ in records]
+        token_lists = [tokenize(text) for text in texts]
+
+        def us_per_item(call, items) -> float:
+            """The fastest of three passes over ``items``, in µs per item."""
+            best = float("inf")
+            for _ in range(3):
+                t0 = time.perf_counter()
+                for item in items:
+                    call(item)
+                best = min(best, time.perf_counter() - t0)
+            return round(1e6 * best / len(items), 3)
+
+        ungated_us = us_per_item(
+            lambda text: sentence_polarity(text, lex, idx, g2p, ungated_cfg), texts
+        )
+        gated_us = us_per_item(
+            lambda text: sentence_polarity(text, lex, idx, g2p, cfg, model=model), texts
+        )
+        predict_us = us_per_item(model.predict, token_lists)
         reduction = (
             1.0 - gated.phonetic_searches / ungated.phonetic_searches
             if ungated.phonetic_searches
@@ -442,6 +458,9 @@ def cmd_bench(args, fmt, header):
                 "gated_searches": gated.phonetic_searches,
                 "search_reduction": round(reduction, 4),
                 "oov_label_mismatches": mismatches,
+                "ungated_us_per_sentence": ungated_us,
+                "gated_us_per_sentence": gated_us,
+                "gate_predict_us": predict_us,
             }
         )
     _emit(out, fmt, header)
@@ -467,7 +486,12 @@ def _add_common(sub):
     sub.add_argument("--min-sim", type=_fraction, default=0.5, dest="min_sim")
     sub.add_argument("--max-ngram", type=_at_least_one, default=4, dest="max_ngram")
     sub.add_argument("--gate-model", dest="gate_model", help="trained gate model path")
-    sub.add_argument("--threads", type=_at_least_one, default=1)
+    sub.add_argument(
+        "--threads",
+        type=_at_least_one,
+        default=1,
+        help="accepted for compatibility only; every command runs on one thread",
+    )
 
 
 def build_parser() -> _Parser:

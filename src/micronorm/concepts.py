@@ -67,13 +67,17 @@ def default_substitutions() -> dict[str, str]:
 
 
 def extract_concepts(
-    sentence: str,
+    sentence: str | list[str],
     lex: PhonLexicon,
     max_n: int = 4,
     stopwords: frozenset[str] | None = None,
     substitutions: dict[str, str] | None = None,
 ) -> list[ConceptCandidate]:
-    """Non-overlapping concept candidates tiling the sentence's tokens."""
+    """Non-overlapping concept candidates tiling the sentence's tokens.
+
+    ``sentence`` may also be its ``tokenize`` output, so that a caller that
+    has tokenized it already need not do so again.
+    """
     return extract_from_tokens(substituted_tokens(sentence, substitutions), lex, max_n, stopwords)
 
 
@@ -115,9 +119,10 @@ def extract_from_tokens(
 
 
 def substituted_tokens(
-    sentence: str, substitutions: dict[str, str] | None = None
+    sentence: str | list[str], substitutions: dict[str, str] | None = None
 ) -> list[str]:
-    """Tokenization after shorthand substitution, as extraction sees it."""
+    """Tokenization (or the given ``tokenize`` output) after shorthand substitution."""
     if substitutions is None:
         substitutions = default_substitutions()
-    return [substitutions.get(tok, tok) for tok in tokenize(sentence)]
+    tokens = tokenize(sentence) if isinstance(sentence, str) else sentence
+    return [substitutions.get(tok, tok) for tok in tokens]

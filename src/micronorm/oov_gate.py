@@ -93,22 +93,35 @@ class TfIdfVectorizer:
     vocabulary: dict[str, int] = field(default_factory=dict)
     doc_freq: list[int] = field(default_factory=list)
     num_docs: int = 0
+    # idf of every feature, computed once from doc_freq and num_docs
+    idf_table: list[float] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        n = self.num_docs
+        self.idf_table = [math.log((1 + n) / (1 + df)) + 1.0 for df in self.doc_freq]
 
     def idf(self, feature: int) -> float:
-        return math.log((1 + self.num_docs) / (1 + self.doc_freq[feature])) + 1.0
+        return self.idf_table[feature]
 
-    def transform(self, text: str) -> dict[int, float]:
-        """Sparse L2-normalized TF-IDF vector; unseen tokens are ignored."""
+    def _weigh(self, text: str | list[str]) -> tuple[dict[int, int], list[float], float]:
+        """Feature counts of a text or its tokens in first-seen order, their raw
+        TF-IDF weights, and the L2 norm to divide them by: 1.0 where it is not
+        positive, which leaves them as they are."""
+        vocabulary = self.vocabulary
         counts: dict[int, int] = {}
-        for tok in tokenize(text):
-            j = self.vocabulary.get(tok)
+        for tok in tokenize(text) if isinstance(text, str) else text:
+            j = vocabulary.get(tok)
             if j is not None:
                 counts[j] = counts.get(j, 0) + 1
-        vec = {j: c * self.idf(j) for j, c in counts.items()}
-        norm = math.sqrt(sum(w * w for w in vec.values()))
-        if norm > 0:
-            vec = {j: w / norm for j, w in vec.items()}
-        return vec
+        idf = self.idf_table
+        weights = [c * idf[j] for j, c in counts.items()]
+        norm = math.sqrt(sum([w * w for w in weights]))
+        return counts, weights, norm if norm > 0 else 1.0
+
+    def transform(self, text: str | list[str]) -> dict[int, float]:
+        """Sparse L2-normalized TF-IDF vector of a text or its tokens; unseen tokens are ignored."""
+        features, weights, norm = self._weigh(text)
+        return {j: w / norm for j, w in zip(features, weights)}
 
 
 def fit_tfidf(texts: list[str]) -> TfIdfVectorizer:
@@ -146,23 +159,23 @@ class GateModel:
     weights: list[float] = field(default_factory=list)
     bias: float = 0.0
 
-    def score(self, text: str) -> float:
-        """P(OOV | text)."""
-        vec = self.vectorizer.transform(text)
+    def score(self, text: str | list[str]) -> float:
+        """P(OOV | text); ``text`` may also be its ``tokenize`` output."""
+        features, weights, norm = self.vectorizer._weigh(text)
+        # each term is that of ``transform``'s vector times a parameter,
+        # (w / norm) * param[j], summed in the same order, so the score is
+        # bit-identical to one computed from that vector
         if self.kind == NB_KIND:
-            margins = {}
-            for label in LABELS:
-                ll = self.log_likelihood[label]
-                margins[label] = self.log_prior[label] + sum(
-                    w * ll[j] for j, w in vec.items()
-                )
-            m = max(margins.values())
-            exp = {label: math.exp(v - m) for label, v in margins.items()}
-            return exp[OOV] / (exp[IV] + exp[OOV])
-        margin = self.bias + sum(w * self.weights[j] for j, w in vec.items())
-        return _sigmoid(margin)
+            ll_iv, ll_oov = self.log_likelihood[IV], self.log_likelihood[OOV]
+            iv = self.log_prior[IV] + sum([w / norm * ll_iv[j] for j, w in zip(features, weights)])
+            oov = self.log_prior[OOV] + sum([w / norm * ll_oov[j] for j, w in zip(features, weights)])
+            m = max(iv, oov)
+            exp_iv, exp_oov = math.exp(iv - m), math.exp(oov - m)
+            return exp_oov / (exp_iv + exp_oov)
+        lr = self.weights
+        return _sigmoid(self.bias + sum([w / norm * lr[j] for j, w in zip(features, weights)]))
 
-    def predict(self, text: str) -> tuple[str, float]:
+    def predict(self, text: str | list[str]) -> tuple[str, float]:
         score = self.score(text)
         return (OOV if score >= 0.5 else IV), score
 

@@ -25,7 +25,7 @@ from .errors import ConfigError, EncodingError, MicronormError
 from .g2p import G2PEngine
 from .lexicon import PhonLexicon, polarity_label
 from .match_index import InvertedIndex, top_k
-from .oov_gate import IV, OOV, GateModel
+from .oov_gate import IV, OOV, GateModel, tokenize
 from .similarity import DistanceVariant
 
 UNGATED = "Ungated"
@@ -170,10 +170,12 @@ def sentence_polarity(
     """Score a sentence by averaging its accepted concepts' polarities."""
     if counters is not None:
         counters.bump_sentence()
+    # one token pass serves both the gate and extraction
+    tokens = tokenize(sentence)
     gated_as = UNGATED
     if cfg.gate_enabled and model is not None:
-        gated_as, _ = model.predict(sentence)
-    candidates = extract_concepts(sentence, lex, max_n=cfg.max_ngram)
+        gated_as, _ = model.predict(tokens)
+    candidates = extract_concepts(tokens, lex, max_n=cfg.max_ngram)
     normalize = with_normalization and gated_as != IV
     trace = tuple(
         normalize_concept(c, lex, idx, g2p, cfg, counters)

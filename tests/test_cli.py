@@ -166,6 +166,8 @@ def test_bench_with_gate(tmp_path, capsys):
     assert isinstance(record["g2p_us_per_token"], float) and record["g2p_us_per_token"] > 0
     assert record["search_reduction"] >= 0.30
     assert record["oov_label_mismatches"] == 0
+    for key in ("ungated_us_per_sentence", "gated_us_per_sentence", "gate_predict_us"):
+        assert isinstance(record[key], float) and record[key] > 0, key
 
 
 def test_bench_times_g2p_through_the_rules(capsys, monkeypatch):
@@ -330,6 +332,32 @@ def test_python_dash_m_runs_the_cli():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["distance"] == 0.143
+
+
+@pytest.mark.parametrize("query", ["", "   "])
+def test_exit_usage_on_empty_query(capsys, query):
+    assert run(["match", "--query", query]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "micronorm: --query must not be empty\n"
+
+
+def test_invalid_utf8_on_stdin_replaced_and_dropped():
+    proc = subprocess.run(
+        [sys.executable, "-m", "micronorm", "normalize"],
+        input=b"gud \xff\xfe morning\n",
+        capture_output=True,
+        timeout=120,
+        # a strict handler would fail on the first undecodable byte
+        env={
+            **os.environ,
+            "PYTHONPATH": str(Path(micronorm.__file__).parents[1]),
+            "PYTHONIOENCODING": "utf-8:strict",
+        },
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    record = json.loads(proc.stdout.decode("utf-8"))
+    assert record == {"input": "gud \ufffd\ufffd morning", "output": "good morning"}
 
 
 def test_exit_usage_on_unknown_subcommand(capsys):

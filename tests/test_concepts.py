@@ -13,6 +13,7 @@ from micronorm.concepts import (
 )
 from micronorm.g2p import default_engine
 from micronorm.lexicon import compile_lexicon, load_compiled, save_compiled
+from micronorm.oov_gate import tokenize
 from micronorm.resources import GATE_CORPUS, MICROTEXT_SUITE, data_path, default_lexicon
 
 
@@ -220,6 +221,15 @@ def test_loaded_lexicon_extracts_like_the_compiled_one(tmp_path):
             for line in fh:
                 sentence = line.partition("\t")[0]
                 assert extract_concepts(sentence, loaded) == extract_concepts(sentence, _BUNDLED)
+
+
+def test_tokens_extract_like_the_sentence():
+    for name in (GATE_CORPUS, MICROTEXT_SUITE):
+        with open(data_path(name), encoding="utf-8") as fh:
+            for line in fh:
+                sentence = line.partition("\t")[0]
+                assert extract_concepts(tokenize(sentence), _BUNDLED) == extract_concepts(sentence, _BUNDLED)
+    assert substituted_tokens(["c", "u", "2morrow"]) == substituted_tokens("c u 2morrow")
 
 
 def test_candidate_is_an_immutable_value():

@@ -5,9 +5,11 @@ import pytest
 from micronorm.errors import GateError
 from micronorm.oov_gate import (
     IV,
+    LABELS,
     LR_KIND,
     NB_KIND,
     OOV,
+    _sigmoid,
     evaluate,
     fit_tfidf,
     load_labeled_corpus,
@@ -18,6 +20,7 @@ from micronorm.oov_gate import (
     train,
     train_test_split,
 )
+from micronorm.resources import GATE_CORPUS, MICROTEXT_SUITE, data_path
 
 TOY = [
     ("i am so happy today", IV),
@@ -179,3 +182,65 @@ def test_bundled_corpus_trains_well(gate_corpus):
         model = train(train_set, kind=kind, seed=42)
         report = evaluate(model, test_set)
         assert report.accuracy >= 0.85, (kind, report.accuracy)
+
+
+# ------------------------------------------------ reference scorer
+# The gate as first written: math.log per feature on every call, a counts
+# dict, a weights dict and a normalized dict.  The model reads a precomputed
+# idf table and sums the margin straight from the raw weights; both must
+# give the same float bits.
+
+
+def _reference_transform(vectorizer, text):
+    counts = {}
+    for tok in tokenize(text):
+        j = vectorizer.vocabulary.get(tok)
+        if j is not None:
+            counts[j] = counts.get(j, 0) + 1
+    n = vectorizer.num_docs
+    vec = {j: c * (math.log((1 + n) / (1 + vectorizer.doc_freq[j])) + 1.0) for j, c in counts.items()}
+    norm = math.sqrt(sum(w * w for w in vec.values()))
+    if norm > 0:
+        vec = {j: w / norm for j, w in vec.items()}
+    return vec
+
+
+def _reference_score(model, text):
+    vec = _reference_transform(model.vectorizer, text)
+    if model.kind == NB_KIND:
+        margins = {}
+        for label in LABELS:
+            ll = model.log_likelihood[label]
+            margins[label] = model.log_prior[label] + sum(w * ll[j] for j, w in vec.items())
+        m = max(margins.values())
+        exp = {label: math.exp(v - m) for label, v in margins.items()}
+        return exp[OOV] / (exp[IV] + exp[OOV])
+    return _sigmoid(model.bias + sum(w * model.weights[j] for j, w in vec.items()))
+
+
+def _gate_probe_texts():
+    texts = []
+    for name in (GATE_CORPUS, MICROTEXT_SUITE):
+        with open(data_path(name), encoding="utf-8") as fh:
+            texts += [line.partition("\t")[0] for line in fh]
+    # empty, nothing the vocabulary holds, and repeated tokens
+    return texts + ["", "!!!", "zzqx vvkq qqqz", "so so so hapy hapy 2day so", "good good good"]
+
+
+@pytest.mark.parametrize("kind", [LR_KIND, NB_KIND])
+def test_scores_bit_identical_to_the_reference(tmp_path, gate_corpus, kind):
+    train_set, _ = train_test_split(gate_corpus, test_frac=0.2, seed=42)
+    model = train(train_set, kind=kind, seed=42)
+    path = tmp_path / "gate.json"
+    save_model(model, path)
+    texts = _gate_probe_texts()
+    for gate in (model, load_model(path)):
+        for text in texts:
+            want = _reference_score(gate, text)
+            assert gate.score(text).hex() == want.hex(), text
+            assert gate.score(tokenize(text)).hex() == want.hex(), text
+            assert gate.predict(text) == (OOV if want >= 0.5 else IV, want)
+            vec, ref = gate.vectorizer.transform(text), _reference_transform(gate.vectorizer, text)
+            assert list(vec) == list(ref)
+            assert [w.hex() for w in vec.values()] == [w.hex() for w in ref.values()]
+

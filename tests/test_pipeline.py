@@ -4,7 +4,8 @@ import pytest
 
 from micronorm.concepts import ConceptCandidate, extract_concepts
 from micronorm.errors import ConfigError, MicronormError
-from micronorm.oov_gate import IV, NB_KIND, train
+from micronorm import concepts, oov_gate, pipeline
+from micronorm.oov_gate import IV, LR_KIND, NB_KIND, train
 from micronorm.pipeline import (
     NormalizationOutcome,
     PipelineConfig,
@@ -173,6 +174,24 @@ def test_gate_reduces_searches_with_same_outputs(lexicon, g2p, index, gate_corpu
             # the gate must not change what normalization produces
             assert g.label == p.label and g.score == p.score
     assert gated.phonetic_searches < plain.phonetic_searches
+
+
+def test_gated_sentence_tokenized_once(monkeypatch, lexicon, g2p, index, gate_corpus):
+    model = train(gate_corpus, kind=LR_KIND, seed=42)
+    cfg = PipelineConfig(gate_enabled=True)
+    calls = []
+    original = oov_gate.tokenize
+
+    def counting(text):
+        calls.append(text)
+        return original(text)
+
+    for module in (oov_gate, concepts, pipeline):
+        monkeypatch.setattr(module, "tokenize", counting)
+    for text, _ in gate_corpus[:40]:
+        calls.clear()
+        sentence_polarity(text, lexicon, index, g2p, cfg, model=model)
+        assert calls == [text]
 
 
 def test_counters_thread_safety():
