@@ -25,7 +25,7 @@ from .lexicon import (
     load_raw_lexicon,
     save_compiled,
 )
-from .match_index import InvertedIndex, build_index, top_k
+from .match_index import MatchIndex, build_index, top_k
 from .pipeline import (
     NormalizationOutcome,
     PipelineConfig,

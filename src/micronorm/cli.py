@@ -3,9 +3,10 @@
 Subcommands cover the full toolkit: lexicon compilation, phonetic
 encoding, distance, phonetic matching, gate training/evaluation,
 normalization, polarity, duplicate reports, end-to-end evaluation, and
-micro-benchmarks.  Output is JSON lines by default (``--format tsv``
-for flat tabular output); diagnostics go to stderr.  Exit codes: 0
-success, 1 usage error, 2 data error.
+micro-benchmarks.  Each subcommand takes only the flags it reads.
+Output is JSON lines by default (``--format tsv`` for flat tabular
+output; ``eval`` prints one JSON report); diagnostics go to stderr.
+Exit codes: 0 success, 1 usage error, 2 data error.
 
 Path defaults resolve to the bundled data files and can be overridden
 by environment variables (``MICRONORM_LEXICON``, ``MICRONORM_RULES``,
@@ -23,7 +24,6 @@ import sys
 import time
 from collections.abc import Iterator
 
-from .concepts import extract_concepts
 from .errors import EncodingError, MicronormError
 from .g2p import G2PEngine, default_engine, load_exceptions, load_rules
 from .lexicon import (
@@ -49,14 +49,14 @@ from .oov_gate import (
     train_test_split,
 )
 from .pipeline import (
+    SEARCH_REASONS,
     PipelineConfig,
-    PipelineCounters,
     eval_polarity,
     normalize_sentence,
     sentence_polarity,
 )
 from .resources import MICROTEXT_SUITE, data_path, default_lexicon
-from .similarity import DistanceVariant, closest_match_scan
+from .similarity import DistanceVariant, closest_match_scan, dice_distance
 from .soundex import soundex_concept
 
 EXIT_OK = 0
@@ -96,24 +96,31 @@ def _env(name: str) -> str | None:
     return os.environ.get(f"MICRONORM_{name}")
 
 
-def _emit(record: dict, fmt: str, header_state: dict) -> None:
-    """Print one record and flush it, so a reader of a stream sees it at once."""
-    if fmt == "tsv":
-        keys = sorted(record)
-        if not header_state.get("done"):
-            print("\t".join(keys))
-            header_state["done"] = True
-        print(
-            "\t".join(
-                json.dumps(record[k], ensure_ascii=False)
-                if isinstance(record[k], (dict, list))
-                else str(record[k])
-                for k in keys
+def _emitter(fmt: str):
+    """A function that prints one record and flushes it, so a reader of a
+    stream sees it at once; in tsv, the first record's keys head the table."""
+    header_done = False
+
+    def emit(record: dict) -> None:
+        nonlocal header_done
+        if fmt == "tsv":
+            keys = sorted(record)
+            if not header_done:
+                print("\t".join(keys))
+                header_done = True
+            print(
+                "\t".join(
+                    json.dumps(record[k], ensure_ascii=False)
+                    if isinstance(record[k], (dict, list))
+                    else str(record[k])
+                    for k in keys
+                )
             )
-        )
-    else:
-        print(json.dumps(record, ensure_ascii=False, sort_keys=True))
-    sys.stdout.flush()
+        else:
+            print(json.dumps(record, ensure_ascii=False, sort_keys=True))
+        sys.stdout.flush()
+
+    return emit
 
 
 def _build_g2p(args) -> G2PEngine:
@@ -126,8 +133,7 @@ def _build_g2p(args) -> G2PEngine:
     return G2PEngine(exceptions, rules)
 
 
-def _load_lexicon(args, g2p: G2PEngine) -> PhonLexicon:
-    variant = DistanceVariant(args.variant)
+def _load_lexicon(args, g2p: G2PEngine, variant: DistanceVariant) -> PhonLexicon:
     path = args.lexicon or _env("LEXICON")
     if path is None:
         return default_lexicon(variant)
@@ -140,25 +146,24 @@ def _load_lexicon(args, g2p: G2PEngine) -> PhonLexicon:
     return compile_lexicon(load_raw_lexicon(path), g2p, variant)
 
 
-def _pipeline_config(args) -> PipelineConfig:
-    return PipelineConfig(
-        accept_distance=args.accept_distance,
-        k=args.k,
-        variant=DistanceVariant(args.variant),
-        gate_enabled=bool(args.gate_model or _env("MODEL")),
-        min_sim=args.min_sim,
-        max_ngram=args.max_ngram,
-    )
-
-
 def _load_gate(args):
     path = args.gate_model or _env("MODEL")
     return load_model(path) if path else None
 
 
-def _input_lines(args) -> Iterator[str]:
-    """The --text sentence, or stdin one line at a time as lines arrive."""
-    text = getattr(args, "text", None)
+def _pipeline_config(args, model=None) -> PipelineConfig:
+    return PipelineConfig(
+        accept_distance=args.accept_distance,
+        k=args.k,
+        variant=DistanceVariant(args.variant),
+        gate_enabled=model is not None,
+        min_sim=args.min_sim,
+        max_ngram=args.max_ngram,
+    )
+
+
+def _input_lines(text: str | None) -> Iterator[str]:
+    """``text`` alone, or stdin one line at a time as lines arrive."""
     if text is not None:
         yield text
         return
@@ -188,66 +193,55 @@ def _suite_rows(path) -> list[tuple[str, str]]:
 # ------------------------------------------------------------- subcommands
 
 
-def cmd_compile(args, fmt, header):
+def cmd_compile(args, emit):
     g2p = _build_g2p(args)
     raw = load_raw_lexicon(args.input)
     lex = compile_lexicon(raw, g2p, DistanceVariant(args.variant))
     save_compiled(lex, args.output)
-    _emit(
-        {"compiled": args.output, "concepts": len(lex.entries), "variant": lex.variant.value},
-        fmt,
-        header,
-    )
+    emit({"compiled": args.output, "concepts": len(lex.entries), "variant": lex.variant.value})
     return EXIT_OK
 
 
-def cmd_encode(args, fmt, header):
+def cmd_encode(args, emit):
     g2p = _build_g2p(args)
-    concepts = [args.concept] if args.concept else _input_lines(args)
-    for concept in concepts:
-        _emit(
+    for concept in _input_lines(args.concept or None):
+        emit(
             {
                 "concept": concept,
                 "soundex": soundex_concept(concept),
                 "ipa": g2p.encode_concept(concept),
-            },
-            fmt,
-            header,
+            }
         )
     return EXIT_OK
 
 
-def cmd_distance(args, fmt, header):
-    from .similarity import dice_distance
-
+def cmd_distance(args, emit):
     d = dice_distance(args.a, args.b, DistanceVariant(args.variant))
-    _emit({"a": args.a, "b": args.b, "distance": round(d, 3)}, fmt, header)
+    emit({"a": args.a, "b": args.b, "distance": round(d, 3)})
     return EXIT_OK
 
 
-def cmd_match(args, fmt, header):
+def cmd_match(args, emit):
     if not args.query.strip():
         print("micronorm: --query must not be empty", file=sys.stderr)
         return EXIT_USAGE
     g2p = _build_g2p(args)
-    lex = _load_lexicon(args, g2p)
+    lex = _load_lexicon(args, g2p, DistanceVariant(args.variant))
     query = g2p.encode_concept(args.query)
     matches = top_k(lex.match_index, query, k=args.k, min_sim=args.min_sim)
-    _emit(
+    emit(
         {
             "query": args.query,
             "ipa": query,
             "matches": [
                 {"concept": m.concept, "distance": round(m.distance, 6)} for m in matches
             ],
-        },
-        fmt,
-        header,
+        }
     )
     return EXIT_OK
 
 
-def cmd_gate_train(args, fmt, header):
+def cmd_gate_train(args, emit):
     loader = load_parallel_corpus if args.parallel else load_labeled_corpus
     records = loader(args.corpus)
     train_records, test_records = train_test_split(records, args.test_frac, seed=args.seed)
@@ -262,42 +256,38 @@ def cmd_gate_train(args, fmt, header):
     }
     if report is not None:
         out["held_out_accuracy"] = round(report.accuracy, 6)
-    _emit(out, fmt, header)
+    emit(out)
     return EXIT_OK
 
 
-def cmd_gate_eval(args, fmt, header):
+def cmd_gate_eval(args, emit):
     model = load_model(args.model)
     loader = load_parallel_corpus if args.parallel else load_labeled_corpus
     records = loader(args.corpus)
     if args.test_frac > 0:
         _, records = train_test_split(records, args.test_frac, seed=args.seed)
     report = evaluate(model, records)
-    _emit({"kind": model.kind, "records": len(records), **report.as_dict()}, fmt, header)
+    emit({"kind": model.kind, "records": len(records), **report.as_dict()})
     return EXIT_OK
 
 
-def cmd_normalize(args, fmt, header):
+def cmd_normalize(args, emit):
     g2p = _build_g2p(args)
-    lex = _load_lexicon(args, g2p)
+    lex = _load_lexicon(args, g2p, DistanceVariant(args.variant))
     cfg = _pipeline_config(args)
-    for line in _input_lines(args):
-        _emit(
-            {"input": line, "output": normalize_sentence(line, lex, lex.match_index, g2p, cfg)},
-            fmt,
-            header,
-        )
+    for line in _input_lines(args.text):
+        emit({"input": line, "output": normalize_sentence(line, lex, lex.match_index, g2p, cfg)})
     return EXIT_OK
 
 
-def cmd_polarity(args, fmt, header):
+def cmd_polarity(args, emit):
     g2p = _build_g2p(args)
-    lex = _load_lexicon(args, g2p)
-    cfg = _pipeline_config(args)
+    lex = _load_lexicon(args, g2p, DistanceVariant(args.variant))
     model = _load_gate(args)
-    for line in _input_lines(args):
+    cfg = _pipeline_config(args, model)
+    for line in _input_lines(args.text):
         result = sentence_polarity(line, lex, lex.match_index, g2p, cfg, model=model)
-        _emit(
+        emit(
             {
                 "text": line,
                 "label": result.label,
@@ -312,20 +302,19 @@ def cmd_polarity(args, fmt, header):
                     }
                     for o in result.trace
                 ],
-            },
-            fmt,
-            header,
+            }
         )
     return EXIT_OK
 
 
-def cmd_report_duplicates(args, fmt, header):
+def cmd_report_duplicates(args, emit):
     g2p = _build_g2p(args)
-    lex = _load_lexicon(args, g2p)
+    # the report reads the stored codes only, so the search variant is moot
+    lex = _load_lexicon(args, g2p, DistanceVariant.CHAR_SET)
     schemes = ["soundex", "ipa"] if args.scheme == "both" else [args.scheme]
     for scheme in schemes:
         report = duplicate_report(lex, scheme, top_n=args.top)
-        _emit(
+        emit(
             {
                 "scheme": report.scheme,
                 "num_concepts": report.num_concepts,
@@ -335,18 +324,16 @@ def cmd_report_duplicates(args, fmt, header):
                     {"code": code, "concepts": members}
                     for code, members in report.top_collisions
                 ],
-            },
-            fmt,
-            header,
+            }
         )
     return EXIT_OK
 
 
-def cmd_eval(args, fmt, header):
+def cmd_eval(args, emit):
     g2p = _build_g2p(args)
-    lex = _load_lexicon(args, g2p)
-    cfg = _pipeline_config(args)
+    lex = _load_lexicon(args, g2p, DistanceVariant(args.variant))
     model = _load_gate(args)
+    cfg = _pipeline_config(args, model)
     rows = _suite_rows(args.suite or data_path(MICROTEXT_SUITE))
     report = eval_polarity(rows, lex, lex.match_index, g2p, cfg, model=model)
     report["seed"] = args.seed
@@ -357,14 +344,15 @@ def cmd_eval(args, fmt, header):
         "min_sim": cfg.min_sim,
         "gate_enabled": cfg.gate_enabled,
     }
-    print(json.dumps(report, ensure_ascii=False, sort_keys=True))
+    emit(report)
     return EXIT_OK
 
 
-def cmd_bench(args, fmt, header):
+def cmd_bench(args, emit):
     g2p = _build_g2p(args)
-    lex = _load_lexicon(args, g2p)
-    cfg = _pipeline_config(args)
+    lex = _load_lexicon(args, g2p, DistanceVariant(args.variant))
+    model = _load_gate(args)
+    cfg = _pipeline_config(args, model)
     idx = lex.match_index
     rng = random.Random(args.seed)
 
@@ -399,28 +387,15 @@ def cmd_bench(args, fmt, header):
         "speedup": round(scan_s / index_s, 2) if index_s > 0 else None,
     }
 
-    corpus_path = args.corpus or data_path("gate_corpus.tsv")
-    model = _load_gate(args)
     if model is not None:
-        records = load_labeled_corpus(corpus_path)
-        ungated_cfg = PipelineConfig(
-            accept_distance=cfg.accept_distance,
-            k=cfg.k,
-            variant=cfg.variant,
-            gate_enabled=False,
-            min_sim=cfg.min_sim,
-            max_ngram=cfg.max_ngram,
-        )
-        ungated = PipelineCounters()
-        gated = PipelineCounters()
-        mismatches = 0
+        records = load_labeled_corpus(args.corpus or data_path("gate_corpus.tsv"))
+        ungated_searches = gated_searches = mismatches = 0
         for text, _ in records:
-            plain = sentence_polarity(
-                text, lex, idx, g2p, ungated_cfg, counters=ungated
-            )
-            routed = sentence_polarity(
-                text, lex, idx, g2p, cfg, model=model, counters=gated
-            )
+            # with no model the gate does not run, whatever the config says
+            plain = sentence_polarity(text, lex, idx, g2p, cfg)
+            routed = sentence_polarity(text, lex, idx, g2p, cfg, model=model)
+            ungated_searches += sum(o.reason in SEARCH_REASONS for o in plain.trace)
+            gated_searches += sum(o.reason in SEARCH_REASONS for o in routed.trace)
             if routed.gated_as == OOV and routed.label != plain.label:
                 mismatches += 1
 
@@ -439,23 +414,17 @@ def cmd_bench(args, fmt, header):
                 best = min(best, time.perf_counter() - t0)
             return round(1e6 * best / len(items), 3)
 
-        ungated_us = us_per_item(
-            lambda text: sentence_polarity(text, lex, idx, g2p, ungated_cfg), texts
-        )
+        ungated_us = us_per_item(lambda text: sentence_polarity(text, lex, idx, g2p, cfg), texts)
         gated_us = us_per_item(
             lambda text: sentence_polarity(text, lex, idx, g2p, cfg, model=model), texts
         )
         predict_us = us_per_item(model.predict, token_lists)
-        reduction = (
-            1.0 - gated.phonetic_searches / ungated.phonetic_searches
-            if ungated.phonetic_searches
-            else 0.0
-        )
+        reduction = 1.0 - gated_searches / ungated_searches if ungated_searches else 0.0
         out.update(
             {
                 "sentences": len(records),
-                "ungated_searches": ungated.phonetic_searches,
-                "gated_searches": gated.phonetic_searches,
+                "ungated_searches": ungated_searches,
+                "gated_searches": gated_searches,
                 "search_reduction": round(reduction, 4),
                 "oov_label_mismatches": mismatches,
                 "ungated_us_per_sentence": ungated_us,
@@ -463,112 +432,113 @@ def cmd_bench(args, fmt, header):
                 "gate_predict_us": predict_us,
             }
         )
-    _emit(out, fmt, header)
+    emit(out)
     return EXIT_OK
 
 
 # ------------------------------------------------------------------ parser
 
 
-def _add_common(sub):
-    sub.add_argument("--format", choices=("json", "tsv"), default="json")
-    sub.add_argument("--seed", type=int, default=42)
-    sub.add_argument(
+def _flag(name: str, **kwargs):
+    """A function that adds one flag to a subcommand's parser."""
+    return lambda p: p.add_argument(name, **kwargs)
+
+
+# Each subcommand takes only the flags whose values change its output; the
+# groups below are the flags that several of them share.
+_FORMAT = [_flag("--format", choices=("json", "tsv"), default="json")]
+_SEED = [_flag("--seed", type=int, default=42)]
+_VARIANT = [_flag("--variant", choices=("charset", "bigram"), default="charset")]
+_G2P = [
+    _flag("--exceptions", help="G2P exception dictionary path"),
+    _flag("--rules", help="G2P rewrite rules path"),
+]
+_LEXICON = [
+    *_G2P,
+    _flag(
         "--lexicon",
-        help="raw .tsv or compiled .jsonl lexicon path; --variant picks the search "
-        "variant, whatever variant a compiled file was written with",
-    )
-    sub.add_argument("--exceptions", help="G2P exception dictionary path")
-    sub.add_argument("--rules", help="G2P rewrite rules path")
-    sub.add_argument("--variant", choices=("charset", "bigram"), default="charset")
-    sub.add_argument("--accept-distance", type=_fraction, default=0.45, dest="accept_distance")
-    sub.add_argument("--k", type=_at_least_one, default=5)
-    sub.add_argument("--min-sim", type=_fraction, default=0.5, dest="min_sim")
-    sub.add_argument("--max-ngram", type=_at_least_one, default=4, dest="max_ngram")
-    sub.add_argument("--gate-model", dest="gate_model", help="trained gate model path")
-    sub.add_argument(
-        "--threads",
-        type=_at_least_one,
-        default=1,
-        help="accepted for compatibility only; every command runs on one thread",
-    )
+        help="raw .tsv or compiled .jsonl lexicon path; --variant, where taken, picks "
+        "the search variant, whatever variant a compiled file was written with",
+    ),
+]
+_SEARCH = [
+    *_VARIANT,
+    _flag("--k", type=_at_least_one, default=5),
+    _flag("--min-sim", type=_fraction, default=0.5),
+]
+_PIPELINE = [
+    *_LEXICON,
+    *_SEARCH,
+    _flag("--accept-distance", type=_fraction, default=0.45),
+    _flag("--max-ngram", type=_at_least_one, default=4),
+]
+_GATE = [_flag("--gate-model", help="trained gate model path")]
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="micronorm", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("compile", help="compile a raw lexicon to JSONL")
+    def command(name, func, help, flags):
+        p = subs.add_parser(name, help=help)
+        for add in flags:
+            add(p)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("compile", cmd_compile, "compile a raw lexicon to JSONL", _G2P + _VARIANT + _FORMAT)
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_compile)
 
-    p = subs.add_parser("encode", help="Soundex + IPA encodings of concepts")
+    p = command("encode", cmd_encode, "Soundex + IPA encodings of concepts", _G2P + _FORMAT)
     p.add_argument("--concept", help="single concept; otherwise stream stdin")
-    _add_common(p)
-    p.set_defaults(func=cmd_encode)
 
-    p = subs.add_parser("distance", help="Dice distance between two strings")
+    p = command("distance", cmd_distance, "Dice distance between two strings", _VARIANT + _FORMAT)
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_distance)
 
-    p = subs.add_parser("match", help="phonetic top-k search for one concept")
+    p = command("match", cmd_match, "phonetic top-k search for one concept",
+                _LEXICON + _SEARCH + _FORMAT)
     p.add_argument("--query", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_match)
 
-    p = subs.add_parser("gate-train", help="train the OOV/IV gate classifier")
+    p = command("gate-train", cmd_gate_train, "train the OOV/IV gate classifier", _SEED + _FORMAT)
     p.add_argument("--corpus", required=True)
     p.add_argument("--parallel", action="store_true", help="raw<TAB>normalized input")
     p.add_argument("--kind", choices=(NB_KIND, LR_KIND), default=LR_KIND)
     p.add_argument("--output", required=True)
-    p.add_argument("--test-frac", type=_fraction, default=0.2, dest="test_frac")
-    _add_common(p)
-    p.set_defaults(func=cmd_gate_train)
+    p.add_argument("--test-frac", type=_fraction, default=0.2)
 
-    p = subs.add_parser("gate-eval", help="evaluate a trained gate model")
+    p = command("gate-eval", cmd_gate_eval, "evaluate a trained gate model", _SEED + _FORMAT)
     p.add_argument("--model", required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--parallel", action="store_true")
-    p.add_argument(
-        "--test-frac",
-        type=_fraction,
-        default=0.0,
-        dest="test_frac",
-        help="evaluate only the seeded held-out fraction",
-    )
-    _add_common(p)
-    p.set_defaults(func=cmd_gate_eval)
+    p.add_argument("--test-frac", type=_fraction, default=0.0,
+                   help="evaluate only the seeded held-out fraction")
 
-    p = subs.add_parser("normalize", help="rewrite microtext spans (stdin streaming)")
+    p = command("normalize", cmd_normalize, "rewrite microtext spans (stdin streaming)",
+                _PIPELINE + _FORMAT)
     p.add_argument("--text", help="single sentence; otherwise stream stdin")
-    _add_common(p)
-    p.set_defaults(func=cmd_normalize)
 
-    p = subs.add_parser("polarity", help="sentence polarity with trace (stdin streaming)")
+    p = command("polarity", cmd_polarity, "sentence polarity with trace (stdin streaming)",
+                _PIPELINE + _GATE + _FORMAT)
     p.add_argument("--text", help="single sentence; otherwise stream stdin")
-    _add_common(p)
-    p.set_defaults(func=cmd_polarity)
 
-    p = subs.add_parser("report-duplicates", help="encoding collision statistics")
+    p = command("report-duplicates", cmd_report_duplicates, "encoding collision statistics",
+                _LEXICON + _FORMAT)
     p.add_argument("--scheme", choices=("soundex", "ipa", "both"), default="both")
-    p.add_argument("--top", type=int, default=10)
-    _add_common(p)
-    p.set_defaults(func=cmd_report_duplicates)
+    p.add_argument("--top", type=_at_least_one, default=10)
 
-    p = subs.add_parser("eval", help="before/after polarity evaluation report")
+    # eval prints one JSON report, so it takes no --format
+    p = command("eval", cmd_eval, "before/after polarity evaluation report",
+                _PIPELINE + _GATE + _SEED)
     p.add_argument("--suite", help="sentence<TAB>gold TSV; default: bundled suite")
-    _add_common(p)
-    p.set_defaults(func=cmd_eval)
+    p.add_argument("--threads", type=_at_least_one, default=1,
+                   help="accepted for compatibility only; eval runs on one thread")
 
-    p = subs.add_parser("bench", help="G2P and scan-vs-index latency, gating effect")
+    p = command("bench", cmd_bench, "G2P and scan-vs-index latency, gating effect",
+                _PIPELINE + _GATE + _SEED + _FORMAT)
     p.add_argument("--queries", type=_at_least_one, default=200)
     p.add_argument("--corpus", help="labeled corpus for the gating benchmark")
-    _add_common(p)
-    p.set_defaults(func=cmd_bench)
 
     return parser
 
@@ -579,9 +549,8 @@ def run(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    header: dict = {}
     try:
-        return args.func(args, args.format, header)
+        return args.func(args, _emitter(getattr(args, "format", "json")))
     except MicronormError as exc:
         print(f"micronorm: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -36,7 +36,7 @@ def canonicalize_concept(raw: str) -> str:
 
 
 def validate_concept(surface: str) -> str:
-    if not _CONCEPT_RE.fullmatch(surface):
+    if not isinstance(surface, str) or not _CONCEPT_RE.fullmatch(surface):
         raise LexiconError(f"invalid concept surface {surface!r}")
     return surface
 
@@ -67,11 +67,10 @@ class PhonLexicon:
 
     entries: list[LexiconEntry]
     variant: DistanceVariant = DistanceVariant.CHAR_SET
-    surface_map: dict[str, int] = field(default_factory=dict)
+    surface_map: dict[str, int] = field(init=False)
 
     def __post_init__(self):
-        if not self.surface_map:
-            self.surface_map = {e.concept: i for i, e in enumerate(self.entries)}
+        self.surface_map = {e.concept: i for i, e in enumerate(self.entries)}
         # every concept cut just before each '_': "a_little" gives "a"; extraction
         # extends an n-gram only while it is one of these
         self.prefixes = frozenset(
@@ -107,6 +106,27 @@ class DuplicateReport:
     top_collisions: list[tuple[str, list[str]]]
 
 
+def _checked_row(path, lineno: int, surface, polarity, seen: dict[str, int]) -> tuple[str, float]:
+    """A valid concept and its polarity, a finite number in [-1, 1]; ``seen``
+    maps each concept read so far to its line, and a repeat is refused."""
+    try:
+        validate_concept(surface)
+    except LexiconError as exc:
+        raise LexiconError(f"{path}:{lineno}: {exc}") from None
+    try:
+        value = float(polarity)
+    except (TypeError, ValueError):
+        raise LexiconError(f"{path}:{lineno}: bad polarity {polarity!r}") from None
+    if not -1.0 <= value <= 1.0:  # also refuses nan
+        raise LexiconError(f"{path}:{lineno}: polarity {value} outside [-1, 1]")
+    if surface in seen:
+        raise LexiconError(
+            f"{path}:{lineno}: duplicate concept {surface!r} (first at line {seen[surface]})"
+        )
+    seen[surface] = lineno
+    return surface, value
+
+
 def load_raw_lexicon(path) -> list[tuple[str, float]]:
     """Read a concept<TAB>polarity TSV; canonicalizes and validates rows."""
     rows: list[tuple[str, float]] = []
@@ -121,23 +141,7 @@ def load_raw_lexicon(path) -> list[tuple[str, float]]:
             cols = line.split("\t")
             if len(cols) != 2:
                 raise LexiconError(f"{path}:{lineno}: expected 2 columns, got {len(cols)}")
-            surface = canonicalize_concept(cols[0])
-            try:
-                validate_concept(surface)
-            except LexiconError as exc:
-                raise LexiconError(f"{path}:{lineno}: {exc}") from None
-            try:
-                value = float(cols[1])
-            except ValueError:
-                raise LexiconError(f"{path}:{lineno}: bad polarity {cols[1]!r}") from None
-            if not -1.0 <= value <= 1.0:
-                raise LexiconError(f"{path}:{lineno}: polarity {value} outside [-1, 1]")
-            if surface in seen:
-                raise LexiconError(
-                    f"{path}:{lineno}: duplicate concept {surface!r} (first at line {seen[surface]})"
-                )
-            seen[surface] = lineno
-            rows.append((surface, value))
+            rows.append(_checked_row(path, lineno, canonicalize_concept(cols[0]), cols[1], seen))
     return rows
 
 
@@ -189,29 +193,32 @@ def load_compiled(path) -> PhonLexicon:
             header = json.loads(first)
         except json.JSONDecodeError:
             raise LexiconError(f"{path}:1: malformed header") from None
-        if header.get("format") != FORMAT_NAME or header.get("version") != FORMAT_VERSION:
+        if (
+            not isinstance(header, dict)
+            or header.get("format") != FORMAT_NAME
+            or header.get("version") != FORMAT_VERSION
+        ):
             raise LexiconError(f"{path}: unsupported format tag {header!r}")
         try:
             variant = DistanceVariant(header.get("variant", DistanceVariant.CHAR_SET.value))
         except ValueError:
             raise LexiconError(f"{path}: unknown variant {header.get('variant')!r}") from None
         entries: list[LexiconEntry] = []
+        seen: dict[str, int] = {}
         for lineno, raw in enumerate(fh, start=2):
             line = raw.strip()
             if not line:
                 continue
             try:
                 row = json.loads(line)
-                entries.append(
-                    LexiconEntry(
-                        concept=row["concept"],
-                        polarity_value=float(row["polarity"]),
-                        ipa=row["ipa"],
-                        soundex=row["soundex"],
-                    )
-                )
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError):
+                concept, ipa, soundex = row["concept"], row["ipa"], row["soundex"]
+                polarity = row["polarity"]
+            except (json.JSONDecodeError, KeyError, TypeError):
                 raise LexiconError(f"{path}:{lineno}: malformed entry") from None
+            concept, value = _checked_row(path, lineno, concept, polarity, seen)
+            if not isinstance(ipa, str) or not ipa:
+                raise LexiconError(f"{path}:{lineno}: ipa must be a non-empty string")
+            entries.append(LexiconEntry(concept, value, ipa, soundex))
     if not entries:
         raise LexiconError(f"{path}: compiled lexicon has no entries")
     return PhonLexicon(entries=entries, variant=variant)

@@ -98,7 +98,7 @@ def _incidence(encodings: list[str], variant: DistanceVariant, ids: np.ndarray) 
 
 
 @dataclass(frozen=True, eq=False)
-class InvertedIndex:
+class MatchIndex:
     variant: DistanceVariant
     concepts: list[str]
     scores: _Incidence  # under the index's variant; bigram: entries of 2+ characters
@@ -108,22 +108,22 @@ class InvertedIndex:
     memo: Memo = field(default_factory=Memo, repr=False)
 
 
-def build_index(lex: PhonLexicon, variant: DistanceVariant = DistanceVariant.CHAR_SET) -> InvertedIndex:
+def build_index(lex: PhonLexicon, variant: DistanceVariant = DistanceVariant.CHAR_SET) -> MatchIndex:
     encodings = [e.ipa for e in lex.entries]
     concepts = [e.concept for e in lex.entries]
     chars = _incidence(encodings, DistanceVariant.CHAR_SET, np.arange(len(encodings)))
     if variant is DistanceVariant.CHAR_SET:
-        return InvertedIndex(variant, concepts, chars, chars, None)
+        return MatchIndex(variant, concepts, chars, chars, None)
     is_short = np.array([len(enc) < 2 for enc in encodings], dtype=bool)
     long = _incidence(encodings, variant, np.flatnonzero(~is_short))
     short = None
     if is_short.any():
         short = _incidence(encodings, DistanceVariant.CHAR_SET, np.flatnonzero(is_short))
-    return InvertedIndex(variant, concepts, long, chars, short)
+    return MatchIndex(variant, concepts, long, chars, short)
 
 
 def top_k(
-    idx: InvertedIndex,
+    idx: MatchIndex,
     query: str,
     k: int = 1,
     min_sim: float = 0.0,
@@ -149,7 +149,7 @@ def top_k(
     return list(hit)
 
 
-def _search(idx: InvertedIndex, query: str, k: int, min_sim: float) -> tuple[MatchResult, ...]:
+def _search(idx: MatchIndex, query: str, k: int, min_sim: float) -> tuple[MatchResult, ...]:
     bound = 1.0 - min_sim
     if len(query) < 2:
         ids, dist = idx.chars.within(query, bound)

@@ -325,14 +325,19 @@ def save_model(model: GateModel, path) -> None:
 
 def load_model(path) -> GateModel:
     with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
+        try:
+            payload = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+            raise GateError(f"{path}: not a JSON model file ({exc})") from None
+    if not isinstance(payload, dict):
+        raise GateError(f"{path}: a model file holds a JSON object, not {type(payload).__name__}")
     try:
         vec = TfIdfVectorizer(
             vocabulary=payload["vectorizer"]["vocabulary"],
             doc_freq=payload["vectorizer"]["doc_freq"],
             num_docs=payload["vectorizer"]["num_docs"],
         )
-        return GateModel(
+        model = GateModel(
             kind=payload["kind"],
             vectorizer=vec,
             seed=payload["seed"],
@@ -342,5 +347,23 @@ def load_model(path) -> GateModel:
             weights=payload.get("weights", []),
             bias=payload.get("bias", 0.0),
         )
+        features = sorted(vec.vocabulary.values())
+        if model.kind == NB_KIND:
+            if any(label not in model.log_prior for label in LABELS):
+                raise GateError(f"{path}: log_prior must hold {IV} and {OOV}")
+            vectors = [model.log_likelihood[label] for label in LABELS]
+        elif model.kind == LR_KIND:
+            vectors = [model.weights]
+        else:
+            raise GateError(f"{path}: unknown classifier kind {model.kind!r}")
     except KeyError as exc:
         raise GateError(f"{path}: malformed model file (missing {exc})") from None
+    except (ArithmeticError, AttributeError, TypeError, ValueError) as exc:
+        raise GateError(f"{path}: malformed model file ({exc})") from None
+    # every feature indexes doc_freq and each parameter vector
+    n = len(features)
+    if features != list(range(n)) or any(
+        not isinstance(v, list) or len(v) != n for v in [vec.doc_freq, *vectors]
+    ):
+        raise GateError(f"{path}: parameter vectors do not match the vocabulary of {n} features")
+    return model

@@ -16,16 +16,15 @@ result, built once per sentence, stays a frozen dataclass
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from .concepts import ConceptCandidate, extract_concepts, extract_from_tokens, substituted_tokens
 from .errors import ConfigError, EncodingError, MicronormError
 from .g2p import G2PEngine
 from .lexicon import PhonLexicon, polarity_label
-from .match_index import InvertedIndex, top_k
-from .oov_gate import IV, OOV, GateModel, tokenize
+from .match_index import MatchIndex, top_k
+from .oov_gate import IV, GateModel, tokenize
 from .similarity import DistanceVariant
 
 UNGATED = "Ungated"
@@ -77,6 +76,11 @@ class NormalizationOutcome(NamedTuple):
     reason: str | None = None
 
 
+# the reasons given only after a phonetic search: counting them over a
+# trace counts the searches
+SEARCH_REASONS = frozenset({"accepted", "above_accept_distance", "no_candidate"})
+
+
 @dataclass(frozen=True)
 class SentencePolarity:
     label: str
@@ -85,30 +89,12 @@ class SentencePolarity:
     gated_as: str
 
 
-@dataclass
-class PipelineCounters:
-    """Thread-safe counters backing the gating-efficiency measurement."""
-
-    phonetic_searches: int = 0
-    sentences: int = 0
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
-
-    def bump_search(self) -> None:
-        with self._lock:
-            self.phonetic_searches += 1
-
-    def bump_sentence(self) -> None:
-        with self._lock:
-            self.sentences += 1
-
-
 def normalize_concept(
     candidate: ConceptCandidate,
     lex: PhonLexicon,
-    idx: InvertedIndex,
+    idx: MatchIndex,
     g2p: G2PEngine,
     cfg: PipelineConfig,
-    counters: PipelineCounters | None = None,
 ) -> NormalizationOutcome:
     """Resolve one candidate to a lexicon concept and polarity."""
     if candidate.matched_iv:
@@ -134,8 +120,6 @@ def normalize_concept(
             error=str(exc),
             reason="encoding_error",
         )
-    if counters is not None:
-        counters.bump_search()
     matches = top_k(idx, query, k=cfg.k, min_sim=cfg.min_sim)
     if matches and matches[0].distance <= cfg.accept_distance:
         best = matches[0]
@@ -160,16 +144,13 @@ def normalize_concept(
 def sentence_polarity(
     sentence: str,
     lex: PhonLexicon,
-    idx: InvertedIndex,
+    idx: MatchIndex,
     g2p: G2PEngine,
     cfg: PipelineConfig,
     model: GateModel | None = None,
-    counters: PipelineCounters | None = None,
     with_normalization: bool = True,
 ) -> SentencePolarity:
     """Score a sentence by averaging its accepted concepts' polarities."""
-    if counters is not None:
-        counters.bump_sentence()
     # one token pass serves both the gate and extraction
     tokens = tokenize(sentence)
     gated_as = UNGATED
@@ -178,7 +159,7 @@ def sentence_polarity(
     candidates = extract_concepts(tokens, lex, max_n=cfg.max_ngram)
     normalize = with_normalization and gated_as != IV
     trace = tuple(
-        normalize_concept(c, lex, idx, g2p, cfg, counters)
+        normalize_concept(c, lex, idx, g2p, cfg)
         if normalize or c.matched_iv
         else NormalizationOutcome(
             original=c.concept, span=c.span, accepted=False, reason="not_normalized"
@@ -195,17 +176,16 @@ def sentence_polarity(
 def normalize_sentence(
     sentence: str,
     lex: PhonLexicon,
-    idx: InvertedIndex,
+    idx: MatchIndex,
     g2p: G2PEngine,
     cfg: PipelineConfig,
-    counters: PipelineCounters | None = None,
 ) -> str:
     """Rewrite accepted concept spans with their matched surface forms."""
     tokens = substituted_tokens(sentence)
     candidates = extract_from_tokens(tokens, lex, max_n=cfg.max_ngram)
     replacements: dict[int, tuple[int, str]] = {}
     for cand in candidates:
-        outcome = normalize_concept(cand, lex, idx, g2p, cfg, counters)
+        outcome = normalize_concept(cand, lex, idx, g2p, cfg)
         if outcome.accepted and outcome.matched is not None:
             start, end = outcome.span
             replacements[start] = (end, outcome.matched.replace("_", " "))
@@ -225,7 +205,7 @@ def normalize_sentence(
 def eval_polarity(
     corpus: list[tuple[str, str]],
     lex: PhonLexicon,
-    idx: InvertedIndex,
+    idx: MatchIndex,
     g2p: G2PEngine,
     cfg: PipelineConfig,
     model: GateModel | None = None,

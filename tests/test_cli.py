@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import io
 import json
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import micronorm
-from micronorm.cli import run
+from micronorm.cli import build_parser, run
 from micronorm.g2p import G2PEngine
 from micronorm.lexicon import load_compiled
 from micronorm.match_index import top_k
@@ -166,6 +167,8 @@ def test_bench_with_gate(tmp_path, capsys):
     assert isinstance(record["g2p_us_per_token"], float) and record["g2p_us_per_token"] > 0
     assert record["search_reduction"] >= 0.30
     assert record["oov_label_mismatches"] == 0
+    # counted from the outcomes' reasons over the bundled corpus
+    assert (record["ungated_searches"], record["gated_searches"]) == (1427, 935)
     for key in ("ungated_us_per_sentence", "gated_us_per_sentence", "gate_predict_us"):
         assert isinstance(record[key], float) and record[key] > 0, key
 
@@ -279,6 +282,8 @@ def test_reader_closing_the_pipe_ends_quietly(tmp_path):
         ["eval", "--threads", "0"],
         ["polarity", "--max-ngram", "0", "--text", "good morning hapy"],
         ["polarity", "--k", "0", "--text", "good"],
+        ["report-duplicates", "--top", "0"],
+        ["report-duplicates", "--top", "-1"],
     ],
 )
 def test_exit_usage_on_count_flag_below_one(capsys, argv):
@@ -358,6 +363,67 @@ def test_invalid_utf8_on_stdin_replaced_and_dropped():
     assert (proc.returncode, proc.stderr) == (0, b"")
     record = json.loads(proc.stdout.decode("utf-8"))
     assert record == {"input": "gud \ufffd\ufffd morning", "output": "good morning"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["distance", "--a", "x", "--b", "y", "--lexicon", "x"],
+        ["distance", "--a", "x", "--b", "y", "--k", "3"],
+        ["normalize", "--gate-model", "x", "--text", "good"],
+        ["encode", "--concept", "good", "--variant", "bigram"],
+        ["match", "--query", "gud", "--threads", "2"],
+        ["eval", "--format", "tsv"],
+        ["report-duplicates", "--variant", "bigram"],
+        ["gate-eval", *_GATE_CORPUS, "--model", "x", "--lexicon", "x"],
+    ],
+)
+def test_exit_usage_on_flag_the_command_does_not_read(capsys, argv):
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("micronorm: unrecognized arguments: --")
+
+
+def test_each_command_takes_only_its_own_flags():
+    parser = build_parser()
+    (subs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    flags = {
+        name: {a.dest for a in sub._actions if a.option_strings and a.dest != "help"}
+        for name, sub in subs.choices.items()
+    }
+    assert sum(map(len, flags.values())) <= 87
+    assert flags["distance"] == {"a", "b", "variant", "format"}
+    assert [name for name, dests in flags.items() if "threads" in dests] == ["eval"]
+    assert "format" not in flags["eval"] and "variant" not in flags["report-duplicates"]
+
+
+def _model_file(tmp_path, edit):
+    model = tmp_path / "gate.json"
+    assert run(["gate-train", *_GATE_CORPUS, "--output", str(model)]) == 0
+    payload = json.loads(model.read_text())
+    model.write_text(edit(payload))
+    return model
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (lambda m: "{not json", "not a JSON model file"),
+        (lambda m: json.dumps([m]), "holds a JSON object"),
+        (lambda m: json.dumps({**m, "kind": "SVM"}), "unknown classifier kind 'SVM'"),
+        (lambda m: json.dumps({**m, "weights": []}), "do not match the vocabulary"),
+    ],
+)
+def test_exit_data_on_bad_gate_model(tmp_path, capsys, edit, message):
+    model = _model_file(tmp_path, edit)
+    capsys.readouterr()
+    assert run(["polarity", "--text", "gud", "--gate-model", str(model)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("micronorm: ") and message in line
 
 
 def test_exit_usage_on_unknown_subcommand(capsys):

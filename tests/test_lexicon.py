@@ -127,6 +127,40 @@ def test_load_compiled_errors(tmp_path):
         load_compiled(p)  # missing ipa key
 
 
+_HEADER = '{"format":"phonlex","version":1,"variant":"charset"}\n'
+_GOOD = {"concept": "good", "polarity": 0.9, "ipa": "gUd", "soundex": "G300"}
+
+
+@pytest.mark.parametrize(
+    "rows,message",
+    [
+        ([{**_GOOD, "polarity": "nan"}], "polarity nan outside [-1, 1]"),
+        ([{**_GOOD, "polarity": 5}], "polarity 5.0 outside [-1, 1]"),
+        ([{**_GOOD, "polarity": "x"}], "bad polarity 'x'"),
+        ([{**_GOOD, "concept": "Good Day"}], "invalid concept surface 'Good Day'"),
+        ([{**_GOOD, "concept": 7}], "invalid concept surface 7"),
+        ([_GOOD, {**_GOOD, "polarity": -0.9}], "duplicate concept 'good' (first at line 2)"),
+        ([{**_GOOD, "ipa": ""}], "ipa must be a non-empty string"),
+        (["good"], "malformed entry"),
+    ],
+)
+def test_load_compiled_checks_rows_like_the_raw_loader(tmp_path, rows, message):
+    p = tmp_path / "bad.jsonl"
+    p.write_text(_HEADER + "".join(json.dumps(r) + "\n" for r in rows))
+    with pytest.raises(LexiconError) as err:
+        load_compiled(p)
+    assert str(err.value).startswith(f"{p}:{len(rows) + 1}: ")
+    assert message in str(err.value)
+
+
+@pytest.mark.parametrize("header", ['["phonlex", 1]', '"phonlex"', "1"])
+def test_load_compiled_rejects_a_header_that_is_not_an_object(tmp_path, header):
+    p = tmp_path / "bad.jsonl"
+    p.write_text(header + "\n" + json.dumps(_GOOD) + "\n")
+    with pytest.raises(LexiconError, match="unsupported format tag"):
+        load_compiled(p)
+
+
 def test_surface_lookup(lexicon):
     assert lexicon.lookup("good").polarity_value == 0.9
     assert lexicon.lookup("nonexistent_concept_xyz") is None

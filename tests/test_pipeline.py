@@ -7,9 +7,9 @@ from micronorm.errors import ConfigError, MicronormError
 from micronorm import concepts, oov_gate, pipeline
 from micronorm.oov_gate import IV, LR_KIND, NB_KIND, train
 from micronorm.pipeline import (
+    SEARCH_REASONS,
     NormalizationOutcome,
     PipelineConfig,
-    PipelineCounters,
     SentencePolarity,
     eval_polarity,
     normalize_concept,
@@ -53,33 +53,59 @@ def test_config_rejects_bad_values():
             PipelineConfig(min_sim=min_sim)
 
 
+def _searches(trace) -> int:
+    return sum(o.reason in SEARCH_REASONS for o in trace)
+
+
 def test_without_normalization_only_iv_candidates_accepted(lexicon, g2p, index, cfg):
-    counters = PipelineCounters()
     result = sentence_polarity(
-        "good morning hapy", lexicon, index, g2p, cfg, counters=counters, with_normalization=False
+        "good morning hapy", lexicon, index, g2p, cfg, with_normalization=False
     )
     assert [(o.original, o.accepted, o.matched, o.distance, o.reason) for o in result.trace] == [
         ("good_morning", True, "good_morning", 0.0, "iv"),
         ("hapy", False, None, None, "not_normalized"),
     ]
-    assert counters.phonetic_searches == 0
+    assert _searches(result.trace) == 0
 
 
 def test_iv_candidate_bypasses_search(lexicon, g2p, index, cfg):
-    counters = PipelineCounters()
     cand = ConceptCandidate(concept="good", span=(0, 1), matched_iv=True)
-    out = normalize_concept(cand, lexicon, index, g2p, cfg, counters)
+    out = normalize_concept(cand, lexicon, index, g2p, cfg)
     assert out.accepted and out.matched == "good" and out.distance == 0.0
-    assert counters.phonetic_searches == 0
+    assert _searches([out]) == 0
 
 
 def test_oov_candidate_searches(lexicon, g2p, index, cfg):
-    counters = PipelineCounters()
     cand = ConceptCandidate(concept="gud", span=(0, 1), matched_iv=False)
-    out = normalize_concept(cand, lexicon, index, g2p, cfg, counters)
+    out = normalize_concept(cand, lexicon, index, g2p, cfg)
     assert out.accepted and out.matched == "good"
     assert out.distance == pytest.approx(0.333, abs=1e-3)
-    assert counters.phonetic_searches == 1
+    assert _searches([out]) == 1
+
+
+def test_search_reasons_count_the_searches(monkeypatch, lexicon, g2p, index, gate_corpus):
+    # the trace is the only record of the searches, so its reasons must
+    # count exactly the top_k calls, gated or not
+    model = train(gate_corpus, kind=LR_KIND, seed=42)
+    calls = []
+    original = pipeline.top_k
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "top_k", counting)
+    for cfg, gate in ((PipelineConfig(), None), (PipelineConfig(gate_enabled=True), model)):
+        calls.clear()
+        searches = 0
+        for text, _ in gate_corpus:
+            searches += _searches(sentence_polarity(text, lexicon, index, g2p, cfg, model=gate).trace)
+        assert searches == len(calls) > 0
+    tight = PipelineConfig(accept_distance=0.1, min_sim=0.7)
+    calls.clear()
+    trace = sentence_polarity("gud 2moro qqqzzz", lexicon, index, g2p, tight).trace
+    assert {"above_accept_distance", "no_candidate"} <= {o.reason for o in trace}
+    assert _searches(trace) == len(calls)
 
 
 def test_threshold_rejects_far_matches(lexicon, g2p, index):
@@ -154,11 +180,9 @@ def test_gate_skips_iv_sentences(lexicon, g2p, index, gate_corpus):
     cfg = PipelineConfig(gate_enabled=True)
     model = train(gate_corpus, kind=NB_KIND, seed=42)
     clean = "i am so happy today"
-    counters = PipelineCounters()
-    result = sentence_polarity(clean, lexicon, index, g2p, cfg, model=model, counters=counters)
+    result = sentence_polarity(clean, lexicon, index, g2p, cfg, model=model)
     assert result.gated_as == "IV"
-    assert counters.phonetic_searches == 0
-    assert counters.sentences == 1
+    assert _searches(result.trace) == 0
 
 
 def test_gate_reduces_searches_with_same_outputs(lexicon, g2p, index, gate_corpus):
@@ -166,14 +190,16 @@ def test_gate_reduces_searches_with_same_outputs(lexicon, g2p, index, gate_corpu
     gated_cfg = PipelineConfig(gate_enabled=True)
     plain_cfg = PipelineConfig(gate_enabled=False)
     texts = [text for text, _ in gate_corpus[:120]]
-    gated, plain = PipelineCounters(), PipelineCounters()
+    gated = plain = 0
     for text in texts:
-        g = sentence_polarity(text, lexicon, index, g2p, gated_cfg, model=model, counters=gated)
-        p = sentence_polarity(text, lexicon, index, g2p, plain_cfg, counters=plain)
+        g = sentence_polarity(text, lexicon, index, g2p, gated_cfg, model=model)
+        p = sentence_polarity(text, lexicon, index, g2p, plain_cfg)
+        gated += _searches(g.trace)
+        plain += _searches(p.trace)
         if g.gated_as == "OOV":
             # the gate must not change what normalization produces
             assert g.label == p.label and g.score == p.score
-    assert gated.phonetic_searches < plain.phonetic_searches
+    assert gated < plain
 
 
 def test_gated_sentence_tokenized_once(monkeypatch, lexicon, g2p, index, gate_corpus):
@@ -192,25 +218,6 @@ def test_gated_sentence_tokenized_once(monkeypatch, lexicon, g2p, index, gate_co
         calls.clear()
         sentence_polarity(text, lexicon, index, g2p, cfg, model=model)
         assert calls == [text]
-
-
-def test_counters_thread_safety():
-    import threading
-
-    counters = PipelineCounters()
-
-    def work():
-        for _ in range(1000):
-            counters.bump_search()
-            counters.bump_sentence()
-
-    threads = [threading.Thread(target=work) for _ in range(4)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert counters.phonetic_searches == 4000
-    assert counters.sentences == 4000
 
 
 def test_trace_spans_match_extraction(lexicon, g2p, index, cfg):
