@@ -154,7 +154,7 @@ def _load_gate(args):
 def _pipeline_config(args, model=None) -> PipelineConfig:
     return PipelineConfig(
         accept_distance=args.accept_distance,
-        k=args.k,
+        k=getattr(args, "k", PipelineConfig.k),  # normalize and polarity read only the best match
         variant=DistanceVariant(args.variant),
         gate_enabled=model is not None,
         min_sim=args.min_sim,
@@ -461,11 +461,8 @@ _LEXICON = [
         "the search variant, whatever variant a compiled file was written with",
     ),
 ]
-_SEARCH = [
-    *_VARIANT,
-    _flag("--k", type=_at_least_one, default=5),
-    _flag("--min-sim", type=_fraction, default=0.5),
-]
+_SEARCH = [*_VARIANT, _flag("--min-sim", type=_fraction, default=0.5)]
+_K = [_flag("--k", type=_at_least_one, default=PipelineConfig.k)]
 _PIPELINE = [
     *_LEXICON,
     *_SEARCH,
@@ -498,7 +495,7 @@ def build_parser() -> _Parser:
     p.add_argument("--b", required=True)
 
     p = command("match", cmd_match, "phonetic top-k search for one concept",
-                _LEXICON + _SEARCH + _FORMAT)
+                _LEXICON + _SEARCH + _K + _FORMAT)
     p.add_argument("--query", required=True)
 
     p = command("gate-train", cmd_gate_train, "train the OOV/IV gate classifier", _SEED + _FORMAT)
@@ -530,13 +527,13 @@ def build_parser() -> _Parser:
 
     # eval prints one JSON report, so it takes no --format
     p = command("eval", cmd_eval, "before/after polarity evaluation report",
-                _PIPELINE + _GATE + _SEED)
+                _PIPELINE + _K + _GATE + _SEED)
     p.add_argument("--suite", help="sentence<TAB>gold TSV; default: bundled suite")
     p.add_argument("--threads", type=_at_least_one, default=1,
                    help="accepted for compatibility only; eval runs on one thread")
 
     p = command("bench", cmd_bench, "G2P and scan-vs-index latency, gating effect",
-                _PIPELINE + _GATE + _SEED + _FORMAT)
+                _PIPELINE + _K + _GATE + _SEED + _FORMAT)
     p.add_argument("--queries", type=_at_least_one, default=200)
     p.add_argument("--corpus", help="labeled corpus for the gating benchmark")
 

@@ -22,18 +22,23 @@ where ``pattern`` is a literal grapheme string and the contexts may use
 
 The first rule whose pattern and contexts match wins and consumes its
 pattern.  An empty output makes the grapheme silent.
+
+Each engine memoizes ``encode_concept`` in its own ``lru_cache`` of
+``MEMO_SIZE`` encodings, which reaches the engine only through a weak
+reference, so an engine is freed by reference counting alone.
 """
 
 from __future__ import annotations
 
 import re
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 from types import MappingProxyType
 
 from .errors import EncodingError
-from .memo import Memo
+from .memo import MEMO_SIZE
 
 _CONSONANTS = "[bcdfghjklmnpqrstvwxz]"
 _CLASSES = {
@@ -136,7 +141,6 @@ class G2PEngine:
         self.exceptions = MappingProxyType(dict(exceptions))
         self.rules = tuple(rules)
         self.digit_map = MappingProxyType(dict(digit_map or DIGIT_MAP))
-        self.memo = Memo()  # surface -> encoding
         # Rules keyed by the two letters at the read position, file order
         # kept; a one-letter pattern also sits under every key of its
         # letter and under the letter alone, the key at a run's end.  The
@@ -156,6 +160,8 @@ class G2PEngine:
             for key in (p[:2],) if len(p) > 1 else _KEYS_OF.get(p, ()):
                 table[key] = table.get(key, ()) + (entry,)
         self._dispatch = MappingProxyType(table)
+        encode = weakref.WeakMethod(self.encode_unmemoized)
+        self.memo = lru_cache(MEMO_SIZE)(lambda surface: encode()(surface))  # surface -> encoding
 
     def _apply_rules(self, run: str) -> str:
         out: list[str] = []
@@ -199,13 +205,10 @@ class G2PEngine:
     def encode_concept(self, surface: str) -> str:
         """Encode an underscore-joined concept, one segment per token.
 
-        Encodings are memoized; a concept that cannot be encoded is not,
-        so it raises ``EncodingError`` on every call.
+        Encodings are memoized in ``memo``; a concept that cannot be
+        encoded is not, so it raises ``EncodingError`` on every call.
         """
-        ipa = self.memo.lookup(surface)
-        if ipa is None:
-            ipa = self.memo.store(surface, self.encode_unmemoized(surface))
-        return ipa
+        return self.memo(surface)
 
     def encode_unmemoized(self, surface: str) -> str:
         """Encode like ``encode_concept`` but bypass the memo.

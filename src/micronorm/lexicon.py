@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable
 
 from .errors import LexiconError
@@ -78,7 +79,6 @@ class PhonLexicon:
             for parts in (surface.split("_") for surface in self.surface_map)
             for n in range(1, len(parts))
         )
-        self._index = None
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -87,14 +87,12 @@ class PhonLexicon:
         idx = self.surface_map.get(surface)
         return None if idx is None else self.entries[idx]
 
-    @property
+    @cached_property
     def match_index(self):
         """Top-k search index over IPA encodings, built on first use."""
-        if self._index is None:
-            from .match_index import build_index
+        from .match_index import build_index
 
-            self._index = build_index(self, self.variant)
-        return self._index
+        return build_index(self, self.variant)
 
 
 @dataclass(frozen=True)

@@ -23,22 +23,26 @@ than two characters, so a bigram index also keeps the character-set
 matrix: a short query is scored on it alone, and short entries are
 scored on their character sets in place of their bigram ones.
 
-Each index memoizes its answers by (query, k, min_sim) in a bounded
-``Memo``, so a repeated query skips the scoring.  The memo stores a
-tuple of ``MatchResult`` named tuples and every caller gets a fresh list
-of those same instances: sharing them is safe because neither the tuple
-nor its records can be altered.
+Each index memoizes its answers by (query, k, min_sim) in ``memo``, an
+``lru_cache`` of ``MEMO_SIZE`` answers, so a repeated query skips the
+scoring.  The memo stores a tuple of ``MatchResult`` named tuples and
+every caller gets a fresh list of those same instances: sharing them is
+safe because neither the tuple nor its records can be altered.  The
+memo and the floor tables are caches over the index's arrays, never
+over the index itself, so an index is freed by reference counting alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache, partial
+from typing import Callable
 
 import numpy as np
 
 from .errors import SimilarityError
 from .lexicon import PhonLexicon
-from .memo import Memo
+from .memo import MEMO_SIZE
 from .similarity import DistanceVariant, MatchResult, symbol_set
 
 
@@ -51,14 +55,13 @@ class _Incidence:
     # symbol-set size of each column's entry, as float64 so the distance
     # needs no int-to-float cast; sums of small integers stay exact
     sizes: np.ndarray
-    counts: np.ndarray  # the same sizes as intp, to gather per-size tables
     # smallest unsigned type holding the widest entry set plus one: a column
     # sum never exceeds its entry's set size, and one more marks a size that
     # no shared count brings within the bound; narrow sums are several times
     # faster than int64 ones
     acc: np.dtype
-    # (|A|, 1 - min_sim) -> per-column floor
-    floors: Memo = field(default_factory=Memo, repr=False)
+    # (|A|, 1 - min_sim) -> per-column floor, see _floor
+    floor: Callable[[int, float], np.ndarray] = field(repr=False)
 
     def within(self, query: str, bound: float) -> tuple[np.ndarray, np.ndarray]:
         """Ids of the entries within ``bound`` of ``query``, and their distances."""
@@ -72,19 +75,16 @@ class _Incidence:
         # same float64 expression as dice_distance, so bit-identical
         return ids, 1.0 - 2.0 * shared / (len(qsyms) + sizes)
 
-    def floor(self, qsize: int, bound: float) -> np.ndarray:
-        """Per column, the fewest shared symbols that bring its entry within
-        ``bound`` of a query of ``qsize`` symbols."""
-        key = (qsize, bound)
-        floor = self.floors.lookup(key)
-        if floor is None:
-            s = np.arange(self.counts.max(initial=0) + 1, dtype=np.float64)
-            # the distance falls as s grows, so the counts it leaves beyond
-            # the bound are a prefix of 0, 1, ...; their number is the least
-            # count that qualifies, or the widest size plus one if none does
-            beyond = 1.0 - 2.0 * s[:, None] / (qsize + s) > bound
-            floor = self.floors.store(key, beyond.sum(axis=0, dtype=self.acc)[self.counts])
-        return floor
+
+def _floor(counts: np.ndarray, acc: np.dtype, qsize: int, bound: float) -> np.ndarray:
+    """Per column of set size ``counts``, the fewest shared symbols that
+    bring its entry within ``bound`` of a query of ``qsize`` symbols."""
+    s = np.arange(counts.max(initial=0) + 1, dtype=np.float64)
+    # the distance falls as s grows, so the counts it leaves beyond
+    # the bound are a prefix of 0, 1, ...; their number is the least
+    # count that qualifies, or the widest size plus one if none does
+    beyond = 1.0 - 2.0 * s[:, None] / (qsize + s) > bound
+    return beyond.sum(axis=0, dtype=acc)[counts]
 
 
 def _incidence(encodings: list[str], variant: DistanceVariant, ids: np.ndarray) -> _Incidence:
@@ -94,7 +94,8 @@ def _incidence(encodings: list[str], variant: DistanceVariant, ids: np.ndarray) 
     matrix = np.zeros((len(rows), len(sets)), dtype=np.uint8)
     matrix[[rows[sym] for s in sets for sym in s], np.repeat(np.arange(len(sets)), counts)] = 1
     acc = np.min_scalar_type(counts.max(initial=0) + 1)
-    return _Incidence(variant, ids, rows, matrix, counts.astype(np.float64), counts, acc)
+    floor = lru_cache(MEMO_SIZE)(partial(_floor, counts, acc))
+    return _Incidence(variant, ids, rows, matrix, counts.astype(np.float64), acc, floor)
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,21 +106,21 @@ class MatchIndex:
     chars: _Incidence  # character sets; the same object for a charset index
     short: _Incidence | None  # bigram only: the character sets of shorter entries
     # (query, k, min_sim) -> tuple of results
-    memo: Memo = field(default_factory=Memo, repr=False)
+    memo: Callable[[str, int, float], tuple[MatchResult, ...]] = field(repr=False)
 
 
 def build_index(lex: PhonLexicon, variant: DistanceVariant = DistanceVariant.CHAR_SET) -> MatchIndex:
     encodings = [e.ipa for e in lex.entries]
     concepts = [e.concept for e in lex.entries]
     chars = _incidence(encodings, DistanceVariant.CHAR_SET, np.arange(len(encodings)))
-    if variant is DistanceVariant.CHAR_SET:
-        return MatchIndex(variant, concepts, chars, chars, None)
-    is_short = np.array([len(enc) < 2 for enc in encodings], dtype=bool)
-    long = _incidence(encodings, variant, np.flatnonzero(~is_short))
-    short = None
-    if is_short.any():
-        short = _incidence(encodings, DistanceVariant.CHAR_SET, np.flatnonzero(is_short))
-    return MatchIndex(variant, concepts, long, chars, short)
+    scores, short = chars, None
+    if variant is not DistanceVariant.CHAR_SET:
+        is_short = np.array([len(enc) < 2 for enc in encodings], dtype=bool)
+        scores = _incidence(encodings, variant, np.flatnonzero(~is_short))
+        if is_short.any():
+            short = _incidence(encodings, DistanceVariant.CHAR_SET, np.flatnonzero(is_short))
+    memo = lru_cache(MEMO_SIZE)(partial(_search, concepts, scores, chars, short))
+    return MatchIndex(variant, concepts, scores, chars, short, memo)
 
 
 def top_k(
@@ -142,21 +143,25 @@ def top_k(
     if not 0.0 <= min_sim <= 1.0:
         raise SimilarityError("min_sim must be in [0, 1]")
 
-    key = (query, k, min_sim)
-    hit = idx.memo.lookup(key)
-    if hit is None:
-        hit = idx.memo.store(key, _search(idx, query, k, min_sim))
-    return list(hit)
+    return list(idx.memo(query, k, min_sim))
 
 
-def _search(idx: MatchIndex, query: str, k: int, min_sim: float) -> tuple[MatchResult, ...]:
+def _search(
+    concepts: list[str],
+    scores: _Incidence,
+    chars: _Incidence,
+    short: _Incidence | None,
+    query: str,
+    k: int,
+    min_sim: float,
+) -> tuple[MatchResult, ...]:
     bound = 1.0 - min_sim
     if len(query) < 2:
-        ids, dist = idx.chars.within(query, bound)
+        ids, dist = chars.within(query, bound)
     else:
-        ids, dist = idx.scores.within(query, bound)
-        if idx.short is not None:
-            short_ids, short_dist = idx.short.within(query, bound)
+        ids, dist = scores.within(query, bound)
+        if short is not None:
+            short_ids, short_dist = short.within(query, bound)
             ids, dist = np.concatenate((ids, short_ids)), np.concatenate((dist, short_dist))
 
     # nothing beyond the k-th smallest distance can make the cut; ties at
@@ -167,6 +172,6 @@ def _search(idx: MatchIndex, query: str, k: int, min_sim: float) -> tuple[MatchR
     order = np.lexsort((ids, dist))[:k]
     # tolist() hands back built-in int/float for callers that serialize results
     return tuple(
-        MatchResult(entry_id=eid, concept=idx.concepts[eid], distance=d)
+        MatchResult(entry_id=eid, concept=concepts[eid], distance=d)
         for eid, d in zip(ids[order].tolist(), dist[order].tolist())
     )

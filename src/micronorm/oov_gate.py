@@ -13,6 +13,7 @@ import json
 import math
 import random
 import re
+import unicodedata
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,9 +32,19 @@ def _sigmoid(margin: float) -> float:
     return 1.0 / (1.0 + math.exp(-margin))
 
 
+def _fold(text: str) -> str:
+    """``text`` in NFKD with its combining marks dropped: "café" gives "cafe"
+    and the full-width "ｇｒ８" gives "gr8"."""
+    return "".join(c for c in unicodedata.normalize("NFKD", text) if not unicodedata.combining(c))
+
+
 def tokenize(text: str) -> list[str]:
-    """Lowercase tokens; punctuation dropped, digits and inner apostrophes kept."""
-    return _TOKEN_RE.findall(text.lower())
+    """Lowercase tokens; punctuation dropped, digits and inner apostrophes kept.
+
+    Text that is not ASCII is folded first (see ``_fold``), so accented and
+    full-width letters keep their tokens whole.
+    """
+    return _TOKEN_RE.findall((text if text.isascii() else _fold(text)).lower())
 
 
 # ------------------------------------------------------------------ corpus

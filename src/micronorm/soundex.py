@@ -1,8 +1,10 @@
 """Classic (American) Soundex encoding of concept tokens.
 
-Each token maps to a 4-character code: the uppercased first letter plus
-three digits from the consonant code table.  Multiword concepts encode
-token by token, joined with underscores.
+Each token maps to a 4-character code: its first character, uppercased
+if a letter, plus three digits from the consonant code table.  A token
+may start with a digit ("2moro" gives 2560, "24" gives 2000), as G2P
+and the lexicon's concepts allow.  Multiword concepts encode token by
+token, joined with underscores.
 """
 
 from __future__ import annotations
@@ -22,16 +24,16 @@ _CODES = {
 
 
 def soundex_token(token: str) -> str:
-    """Encode a single token as a Soundex code (letter + 3 digits).
+    """Encode a single token as a Soundex code (head + 3 digits).
 
-    Follows the archival-standard rules: the first letter is kept and its
+    Follows the archival-standard rules: the first character is kept and its
     code suppresses an immediately following letter of the same class;
     'h' and 'w' are transparent (do not break a run of equal codes);
     vowels and digits break runs but emit nothing.
     """
     token = token.lower()
-    if not token or not token[0].isalpha():
-        raise EncodingError(f"cannot soundex-encode token {token!r}: no leading letter")
+    if not token:
+        raise EncodingError("cannot soundex-encode an empty token")
     prev_code = _CODES.get(token[0], "")
     digits: list[str] = []
     for ch in token[1:]:

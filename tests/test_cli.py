@@ -29,6 +29,26 @@ def test_encode_single_concept(capsys):
     assert record == {"concept": "a_little", "ipa": "æ_lItæl", "soundex": "A000_L340"}
 
 
+def test_encode_token_with_a_leading_digit(capsys, monkeypatch):
+    assert run(["encode", "--concept", "2moro"]) == 0
+    (record,) = _json_lines(capsys)
+    assert record["soundex"] == "2560" and record["ipa"]
+    monkeypatch.setattr("sys.stdin", io.StringIO("gud\n2moro\nb4\n"))
+    assert run(["encode"]) == 0
+    assert [r["soundex"] for r in _json_lines(capsys)] == ["G300", "2560", "B000"]
+
+
+def test_lexicon_with_a_leading_digit_concept(tmp_path, capsys):
+    raw = tmp_path / "lx.tsv"
+    raw.write_text("concept\tpolarity\ngood\t0.9\n24_7\t0.2\n")
+    assert run(["match", "--lexicon", str(raw), "--query", "gud"]) == 0
+    (record,) = _json_lines(capsys)
+    assert record["matches"][0]["concept"] == "good"
+    assert run(["report-duplicates", "--lexicon", str(raw), "--scheme", "soundex"]) == 0
+    (report,) = _json_lines(capsys)
+    assert report["num_concepts"] == 2
+
+
 def test_encode_stdin_stream(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("good\nabandon\n"))
     assert run(["encode"]) == 0
@@ -281,7 +301,7 @@ def test_reader_closing_the_pipe_ends_quietly(tmp_path):
         ["bench", "--queries", "many"],
         ["eval", "--threads", "0"],
         ["polarity", "--max-ngram", "0", "--text", "good morning hapy"],
-        ["polarity", "--k", "0", "--text", "good"],
+        ["eval", "--k", "0"],
         ["report-duplicates", "--top", "0"],
         ["report-duplicates", "--top", "-1"],
     ],
@@ -376,6 +396,9 @@ def test_invalid_utf8_on_stdin_replaced_and_dropped():
         ["eval", "--format", "tsv"],
         ["report-duplicates", "--variant", "bigram"],
         ["gate-eval", *_GATE_CORPUS, "--model", "x", "--lexicon", "x"],
+        # only the best match is read, which no k changes
+        ["normalize", "--k", "3", "--text", "gud"],
+        ["polarity", "--k", "3", "--text", "gud"],
     ],
 )
 def test_exit_usage_on_flag_the_command_does_not_read(capsys, argv):
@@ -393,7 +416,7 @@ def test_each_command_takes_only_its_own_flags():
         name: {a.dest for a in sub._actions if a.option_strings and a.dest != "help"}
         for name, sub in subs.choices.items()
     }
-    assert sum(map(len, flags.values())) <= 87
+    assert sum(map(len, flags.values())) <= 85
     assert flags["distance"] == {"a", "b", "variant", "format"}
     assert [name for name, dests in flags.items() if "threads" in dests] == ["eval"]
     assert "format" not in flags["eval"] and "variant" not in flags["report-duplicates"]

@@ -156,9 +156,10 @@ def test_tables_copied_from_the_callers():
 def test_repeated_concept_memoized():
     engine = _fresh_engine()
     first = engine.encode_concept("b4_lunch")
-    assert engine.memo["b4_lunch"] == first
     assert engine.encode_concept("b4_lunch") == first
-    assert len(engine.memo) == 1
+    info = engine.memo.cache_info()
+    # the second call was answered from the memo
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
 
 
 def test_encoding_error_raised_every_call():
@@ -166,7 +167,8 @@ def test_encoding_error_raised_every_call():
     for _ in range(3):
         with pytest.raises(EncodingError):
             engine.encode_concept("gud_café")
-    assert len(engine.memo) == 0
+    info = engine.memo.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 3, 0)
 
 
 def test_memo_bounded(lexicon):
@@ -174,9 +176,13 @@ def test_memo_bounded(lexicon):
     concepts = [e.concept for e in lexicon.entries[: MEMO_SIZE + 50]]
     for concept in concepts:
         engine.encode_concept(concept)
-    assert len(engine.memo) == MEMO_SIZE
-    assert concepts[0] not in engine.memo
-    assert concepts[-1] in engine.memo
+    before = engine.memo.cache_info()
+    assert before.currsize == MEMO_SIZE
+    # the newest is still there; the oldest went first
+    engine.encode_concept(concepts[-1])
+    assert engine.memo.cache_info().hits == before.hits + 1
+    engine.encode_concept(concepts[0])
+    assert engine.memo.cache_info().misses == before.misses + 1
 
 
 def test_engine_freed_without_gc():

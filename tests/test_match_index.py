@@ -2,6 +2,8 @@ import gc
 import itertools
 import random
 import string
+import sys
+import threading
 import weakref
 from fractions import Fraction
 
@@ -9,7 +11,7 @@ import numpy as np
 import pytest
 
 from micronorm.errors import SimilarityError
-from micronorm.g2p import default_engine
+from micronorm.g2p import G2PEngine, default_engine
 from micronorm.lexicon import LexiconEntry, PhonLexicon, compile_lexicon
 from micronorm.match_index import build_index, top_k
 from micronorm.memo import MEMO_SIZE
@@ -154,7 +156,7 @@ def test_floor_memo_bounded(lexicon):
         idx = build_index(lexicon)
         for i in range(MEMO_SIZE + 10):
             top_k(idx, "gVd", k=1, min_sim=0.5 + i / 100_000)
-        assert len(idx.scores.floors) == MEMO_SIZE
+        assert idx.scores.floor.cache_info().currsize == MEMO_SIZE
         ref = weakref.ref(idx)
         del idx
         assert ref() is None
@@ -250,8 +252,9 @@ def test_bigram_index_exactness():
 def test_repeated_query_answers_equal(lexicon):
     idx = build_index(lexicon)
     first = top_k(idx, "gVd", k=5, min_sim=0.5)
-    assert len(idx.memo) == 1
+    assert idx.memo.cache_info().currsize == 1
     assert top_k(idx, "gVd", k=5, min_sim=0.5) == first
+    assert idx.memo.cache_info()[:2] == (1, 1)  # hits, misses
     assert first == closest_match_scan("gVd", lexicon, k=5)
 
 
@@ -279,7 +282,8 @@ def test_memo_key_holds_k_and_min_sim(lexicon):
     assert len(top_k(idx, "gVd", k=5, min_sim=0.5)) == 5
     assert len(top_k(idx, "gVd", k=2, min_sim=0.5)) == 2
     assert top_k(idx, "gVd", k=5, min_sim=1.0) == []
-    assert len(idx.memo) == 3
+    info = idx.memo.cache_info()
+    assert (info.hits, info.currsize) == (0, 3)
 
 
 def test_arguments_checked_before_the_memo(lexicon):
@@ -295,10 +299,63 @@ def test_memo_bounded(lexicon):
     assert len(queries) > MEMO_SIZE
     for q in queries:
         top_k(idx, q, k=1)
-    assert len(idx.memo) == MEMO_SIZE
-    # the oldest went first; the newest are still there
-    assert (queries[0], 1, 0.0) not in idx.memo
-    assert (queries[-1], 1, 0.0) in idx.memo
+    before = idx.memo.cache_info()
+    assert before.currsize == MEMO_SIZE
+    # the newest are still there; the oldest went first
+    top_k(idx, queries[-1], k=1)
+    assert idx.memo.cache_info().hits == before.hits + 1
+    top_k(idx, queries[0], k=1)
+    assert idx.memo.cache_info().misses == before.misses + 1
+
+
+def test_memo_keeps_a_reused_query(lexicon):
+    idx = build_index(lexicon)
+    queries = sorted({e.ipa for e in lexicon.entries})[: MEMO_SIZE + 1]
+    for q in queries[:MEMO_SIZE]:
+        top_k(idx, q, k=1)
+    top_k(idx, queries[0], k=1)  # a hit: queries[1] is now the least recently used
+    top_k(idx, queries[MEMO_SIZE], k=1)  # so the memo, full, drops queries[1]
+    before = idx.memo.cache_info()
+    top_k(idx, queries[0], k=1)
+    assert idx.memo.cache_info()[:2] == (before.hits + 1, before.misses)
+    top_k(idx, queries[1], k=1)
+    assert idx.memo.cache_info()[:2] == (before.hits + 1, before.misses + 1)
+    assert idx.memo.cache_info().currsize == MEMO_SIZE
+
+
+def test_threads_share_one_engine_and_one_index(lexicon):
+    # a caller may share one engine and one index between threads, whose
+    # memos then see concurrent hits, misses and evictions
+    concepts = [e.concept for e in lexicon.entries[: 2 * MEMO_SIZE]]
+    engine = G2PEngine(dict(default_engine().exceptions), default_engine().rules)
+    idx = build_index(lexicon)
+    ref = build_index(lexicon)
+    want = {c: top_k(ref, engine.encode_unmemoized(c), k=3, min_sim=0.5) for c in concepts}
+    errors = []
+
+    def work(seed):
+        try:
+            for i in range(1500):
+                concept = concepts[(i * 7 + seed) % len(concepts)]
+                got = top_k(idx, engine.encode_concept(concept), k=3, min_sim=0.5)
+                if got != want[concept]:
+                    errors.append((concept, got))
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(old)
+    assert errors == []
+    assert engine.memo.cache_info().currsize == idx.memo.cache_info().currsize == MEMO_SIZE
 
 
 def test_index_freed_without_gc(lexicon):

@@ -38,6 +38,9 @@ def test_tokenize():
     assert tokenize("C u b4 Lunch!") == ["c", "u", "b4", "lunch"]
     assert tokenize("don't stop") == ["don't", "stop"]
     assert tokenize("...") == []
+    # text that is not ASCII is folded: accents dropped, full-width forms narrowed
+    assert tokenize("naïve café 😀 gr8 ｇｒ８") == ["naive", "cafe", "gr8", "gr8"]
+    assert tokenize("ÅNGSTRÖM ﬁne") == ["angstrom", "fine"]
 
 
 def test_tfidf_l2_normalized():

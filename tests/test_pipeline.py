@@ -1,10 +1,13 @@
 import dataclasses
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from micronorm.concepts import ConceptCandidate, extract_concepts
 from micronorm.errors import ConfigError, MicronormError
 from micronorm import concepts, oov_gate, pipeline
+from micronorm.g2p import G2PEngine, default_engine
+from micronorm.match_index import build_index
 from micronorm.oov_gate import IV, LR_KIND, NB_KIND, train
 from micronorm.pipeline import (
     SEARCH_REASONS,
@@ -17,6 +20,7 @@ from micronorm.pipeline import (
     sentence_polarity,
 )
 from micronorm.resources import MICROTEXT_SUITE, data_path
+from micronorm.similarity import DistanceVariant
 
 
 @pytest.fixture(scope="module")
@@ -136,6 +140,66 @@ def test_normalize_sentence_idempotent_over_suite(suite, lexicon, g2p, index, cf
         once = normalize_sentence(text, lexicon, index, g2p, cfg)
         twice = normalize_sentence(once, lexicon, index, g2p, cfg)
         assert twice == once, text
+
+
+def test_normalize_sentence_calls_the_names_a_tracer_rebinds(monkeypatch, lexicon):
+    """The benchmark's tracer rebinds the module globals ``top_k`` and
+    ``normalize_concept`` and reads their first positional arguments (the
+    query, the candidate's ``matched_iv``); it wraps ``encode_concept`` in an
+    instance attribute and deletes that attribute afterwards.  So every search
+    of ``normalize_sentence`` must pass through these names, positionally."""
+    engine = G2PEngine(dict(default_engine().exceptions), default_engine().rules)
+    idx = build_index(lexicon, DistanceVariant.BIGRAM)
+    cfg = PipelineConfig(variant=DistanceVariant.BIGRAM)
+    searched, resolved, encoded = [], [], []
+    original_top_k, original_normalize = pipeline.top_k, pipeline.normalize_concept
+
+    def top_k_spy(*args, **kwargs):
+        searched.append(args)
+        return original_top_k(*args, **kwargs)
+
+    def normalize_spy(*args, **kwargs):
+        resolved.append(args)
+        return original_normalize(*args, **kwargs)
+
+    def encode_spy(surface):
+        encoded.append(surface)
+        return G2PEngine.encode_concept(engine, surface)
+
+    monkeypatch.setattr(pipeline, "top_k", top_k_spy)
+    monkeypatch.setattr(pipeline, "normalize_concept", normalize_spy)
+    engine.encode_concept = encode_spy
+    out = normalize_sentence("gud mornin c u 2morrow lol", lexicon, idx, engine, cfg)
+    del engine.encode_concept
+    assert "encode_concept" not in vars(engine)
+    oov = [args[0].concept for args in resolved if not args[0].matched_iv]
+    assert all(isinstance(args[0], ConceptCandidate) for args in resolved)
+    assert len(oov) >= 2 and encoded == oov
+    assert all(args[0] is idx for args in searched)
+    assert [args[1] for args in searched] == [engine.encode_concept(c) for c in oov]
+    # once the instance attribute is gone, the method answers from the memo again
+    assert engine.memo.cache_info().hits == len(oov)
+    monkeypatch.undo()
+    assert normalize_sentence("gud mornin c u 2morrow lol", lexicon, idx, engine, cfg) == out
+
+
+_WORDS = ["gud", "hapy", "c", "u", "2morrow", "don't", "a", "little", "naïve", "café",
+          "ｇｒ８", "😀", "İ", "ﬁne", "NOT", "bad", "good_morning", "l0l"]
+_SENTENCES = st.one_of(
+    st.text(max_size=40),
+    st.lists(st.one_of(st.sampled_from(_WORDS), st.text(max_size=6)), max_size=8).map(" ".join),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sentence=_SENTENCES)
+def test_any_unicode_sentence_has_one_answer(lexicon, g2p, index, sentence):
+    cfg = PipelineConfig()
+    first = sentence_polarity(sentence, lexicon, index, g2p, cfg)
+    assert sentence_polarity(sentence, lexicon, index, g2p, cfg) == first
+    once = normalize_sentence(sentence, lexicon, index, g2p, cfg)
+    assert normalize_sentence(sentence, lexicon, index, g2p, cfg) == once
+    assert normalize_sentence(once, lexicon, index, g2p, cfg) == once
 
 
 def test_sentence_polarity_positive(lexicon, g2p, index, cfg):

@@ -76,7 +76,9 @@ def test_digits_ignored_by_code_table():
 
 
 def test_no_leading_letter_rejected():
-    with pytest.raises(EncodingError):
-        soundex_token("4")
+    # a leading digit is kept as the head; only an empty token is refused
+    assert soundex_token("4") == "4000"
+    assert soundex_token("2moro") == "2560"
+    assert soundex_concept("24_7") == "2000_7000"
     with pytest.raises(EncodingError):
         soundex_token("")
