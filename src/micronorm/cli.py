@@ -24,6 +24,7 @@ import sys
 import time
 from collections.abc import Iterator
 
+from .concepts import extract_from_tokens, substituted_tokens
 from .errors import EncodingError, MicronormError
 from .g2p import G2PEngine, default_engine, load_exceptions, load_rules
 from .lexicon import (
@@ -379,16 +380,30 @@ def cmd_bench(args, emit):
             pass
     g2p_s = time.perf_counter() - t0
 
+    def us_per_item(call, items) -> float:
+        """The fastest of three passes over ``items``, in µs per item."""
+        best = float("inf")
+        for _ in range(3):
+            t0 = time.perf_counter()
+            for item in items:
+                call(item)
+            best = min(best, time.perf_counter() - t0)
+        return round(1e6 * best / len(items), 3)
+
+    records = load_labeled_corpus(args.corpus or data_path("gate_corpus.tsv"))
+    substituted = [substituted_tokens(text) for text, _ in records]
     out = {
         "queries": len(queries),
         "g2p_us_per_token": round(1e6 * g2p_s / len(tokens), 3),
         "scan_ms_per_query": round(1000.0 * scan_s / len(queries), 4),
         "index_ms_per_query": round(1000.0 * index_s / len(queries), 4),
         "speedup": round(scan_s / index_s, 2) if index_s > 0 else None,
+        "extract_us_per_sentence": us_per_item(
+            lambda toks: extract_from_tokens(toks, lex, cfg.max_ngram), substituted
+        ),
     }
 
     if model is not None:
-        records = load_labeled_corpus(args.corpus or data_path("gate_corpus.tsv"))
         ungated_searches = gated_searches = mismatches = 0
         for text, _ in records:
             # with no model the gate does not run, whatever the config says
@@ -403,17 +418,6 @@ def cmd_bench(args, emit):
         # and hands the tokens to the gate, so a predict is timed on tokens
         texts = [text for text, _ in records]
         token_lists = [tokenize(text) for text in texts]
-
-        def us_per_item(call, items) -> float:
-            """The fastest of three passes over ``items``, in µs per item."""
-            best = float("inf")
-            for _ in range(3):
-                t0 = time.perf_counter()
-                for item in items:
-                    call(item)
-                best = min(best, time.perf_counter() - t0)
-            return round(1e6 * best / len(items), 3)
-
         ungated_us = us_per_item(lambda text: sentence_polarity(text, lex, idx, g2p, cfg), texts)
         gated_us = us_per_item(
             lambda text: sentence_polarity(text, lex, idx, g2p, cfg, model=model), texts
@@ -535,7 +539,7 @@ def build_parser() -> _Parser:
     p = command("bench", cmd_bench, "G2P and scan-vs-index latency, gating effect",
                 _PIPELINE + _K + _GATE + _SEED + _FORMAT)
     p.add_argument("--queries", type=_at_least_one, default=200)
-    p.add_argument("--corpus", help="labeled corpus for the gating benchmark")
+    p.add_argument("--corpus", help="labeled corpus for the extraction and gating benchmarks")
 
     return parser
 

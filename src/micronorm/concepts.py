@@ -1,18 +1,19 @@
 """Lexicon-driven concept extraction from a tokenized sentence.
 
 A greedy left-to-right pass finds, at each token, the longest lexicon
-concept that starts there.  It walks the lexicon's concept prefixes:
-from the unigram key it appends one token at a time while the key so
-far is a prefix of some multi-word concept, up to ``max_n`` tokens, and
-keeps the longest key that is itself a concept.  Hits become
-in-vocabulary candidates; any other non-stopword token becomes a
-single-token out-of-vocabulary candidate for phonetic normalization.  A
-tiny substitution table rewrites pronoun-like shorthand (u, r, 2, ...)
-before extraction.
+concept that starts there.  It walks the lexicon's key table, one probe
+per key: from the unigram key it appends one token at a time while the
+key so far can be extended (is a prefix of a multi-word concept), up to
+``max_n`` tokens, and keeps the longest key that is itself a concept.
+Hits become in-vocabulary candidates; any other non-stopword token
+becomes a single-token out-of-vocabulary candidate for phonetic
+normalization.  A tiny substitution table rewrites pronoun-like
+shorthand (u, r, 2, ...) before extraction.
 
 Each candidate is a ``ConceptCandidate`` named tuple: immutable,
-hashable and equal by value, and built by a single ``tuple.__new__``,
-which matters since a sentence yields several.
+hashable and equal by value.  Extraction builds it positionally with
+``tuple.__new__``, since a sentence yields several, so its field order
+is part of the contract.
 """
 
 from __future__ import annotations
@@ -92,28 +93,36 @@ def extract_from_tokens(
         raise ValueError(f"max_n must be at least 1, got {max_n}")
     if stopwords is None:
         stopwords = default_stopwords()
-    surface_map, prefixes = lex.surface_map, lex.prefixes
+    table, new = lex.key_table, tuple.__new__
     # tokenizer output may carry apostrophes; concept keys may not
     keys = [tok.replace("'", "") for tok in tokens]
+    n = len(keys)
     candidates: list[ConceptCandidate] = []
     i = 0
-    while i < len(keys):
+    while i < n:
         key = keys[i]
-        hit, end = (key, i + 1) if key in surface_map else (None, i)
-        # a concept of n+1 tokens has its n-token key among the prefixes, so the
-        # walk never stops short of the longest concept starting at i
-        j, stop = i + 1, min(i + max_n, len(keys))
-        while j < stop and key in prefixes:
-            key = f"{key}_{keys[j]}"
-            j += 1
-            if key in surface_map:
-                hit, end = key, j
-        if hit is not None:
-            candidates.append(ConceptCandidate(concept=hit, span=(i, end), matched_iv=True))
-            i = end
-            continue
+        flags = table.get(key)  # None for most tokens: neither a concept nor the start of one
+        if flags is not None:
+            is_concept, extendable = flags
+            hit, end = (key, i + 1) if is_concept else (None, i)
+            # a concept of m+1 tokens has its m-token key marked extendable, so
+            # the walk never stops short of the longest concept starting at i
+            j, stop = i + 1, (i + max_n if i + max_n < n else n)
+            while extendable and j < stop:
+                key = f"{key}_{keys[j]}"
+                j += 1
+                flags = table.get(key)
+                if flags is None:
+                    break
+                is_concept, extendable = flags
+                if is_concept:
+                    hit, end = key, j
+            if hit is not None:
+                candidates.append(new(ConceptCandidate, (hit, (i, end), True)))
+                i = end
+                continue
         if keys[i] and tokens[i] not in stopwords:
-            candidates.append(ConceptCandidate(concept=keys[i], span=(i, i + 1), matched_iv=False))
+            candidates.append(new(ConceptCandidate, (keys[i], (i, i + 1), False)))
         i += 1
     return candidates
 

@@ -69,16 +69,19 @@ class PhonLexicon:
     entries: list[LexiconEntry]
     variant: DistanceVariant = DistanceVariant.CHAR_SET
     surface_map: dict[str, int] = field(init=False)
+    key_table: dict[str, tuple[bool, bool]] = field(init=False)
 
     def __post_init__(self):
         self.surface_map = {e.concept: i for i, e in enumerate(self.entries)}
-        # every concept cut just before each '_': "a_little" gives "a"; extraction
-        # extends an n-gram only while it is one of these
-        self.prefixes = frozenset(
-            "_".join(parts[:n])
-            for parts in (surface.split("_") for surface in self.surface_map)
-            for n in range(1, len(parts))
-        )
+        # each concept, and each concept cut just before a '_' ("a_little" gives
+        # "a"), -> (is a concept, can be extended): extraction extends an n-gram
+        # only while it can be, and answers both with one probe per key
+        self.key_table = {surface: (True, False) for surface in self.surface_map}
+        for surface in self.surface_map:
+            parts = surface.split("_")
+            for n in range(1, len(parts)):
+                prefix = "_".join(parts[:n])
+                self.key_table[prefix] = (prefix in self.surface_map, True)
 
     def __len__(self) -> int:
         return len(self.entries)

@@ -9,9 +9,9 @@ values, labeled by sign (zero is Neutral); unaccepted concepts
 contribute nothing.
 
 Each candidate's resolution is a ``NormalizationOutcome`` named tuple,
-which also records the reason it was or was not accepted; the sentence
-result, built once per sentence, stays a frozen dataclass
-(``SentencePolarity``).
+built positionally (its field order is part of the contract), which also
+records why it was or was not accepted; the sentence result, built once
+per sentence, stays a frozen dataclass (``SentencePolarity``).
 """
 
 from __future__ import annotations
@@ -76,6 +76,9 @@ class NormalizationOutcome(NamedTuple):
     reason: str | None = None
 
 
+# builds a record from all its fields, in declared order, with no keyword parsing
+_new = tuple.__new__
+
 # the reasons given only after a phonetic search: counting them over a
 # trace counts the searches
 SEARCH_REASONS = frozenset({"accepted", "above_accept_distance", "no_candidate"})
@@ -97,48 +100,32 @@ def normalize_concept(
     cfg: PipelineConfig,
 ) -> NormalizationOutcome:
     """Resolve one candidate to a lexicon concept and polarity."""
-    if candidate.matched_iv:
-        entry = lex.lookup(candidate.concept)
-        if entry is None:
-            raise MicronormError(f"IV candidate {candidate.concept!r} missing from lexicon")
-        return NormalizationOutcome(
-            original=candidate.concept,
-            span=candidate.span,
-            accepted=True,
-            matched=entry.concept,
-            distance=0.0,
-            polarity_value=entry.polarity_value,
-            reason="iv",
+    concept, span, matched_iv = candidate
+    if matched_iv:
+        entry_id = lex.surface_map.get(concept)
+        if entry_id is None:
+            raise MicronormError(f"IV candidate {concept!r} missing from lexicon")
+        entry = lex.entries[entry_id]
+        return _new(
+            NormalizationOutcome,
+            (concept, span, True, entry.concept, 0.0, entry.polarity_value, None, "iv"),
         )
     try:
-        query = g2p.encode_concept(candidate.concept)
+        query = g2p.encode_concept(concept)
     except EncodingError as exc:
-        return NormalizationOutcome(
-            original=candidate.concept,
-            span=candidate.span,
-            accepted=False,
-            error=str(exc),
-            reason="encoding_error",
+        return _new(
+            NormalizationOutcome, (concept, span, False, None, None, None, str(exc), "encoding_error")
         )
     matches = top_k(idx, query, k=cfg.k, min_sim=cfg.min_sim)
     if matches and matches[0].distance <= cfg.accept_distance:
         best = matches[0]
         entry = lex.entries[best.entry_id]
-        return NormalizationOutcome(
-            original=candidate.concept,
-            span=candidate.span,
-            accepted=True,
-            matched=entry.concept,
-            distance=best.distance,
-            polarity_value=entry.polarity_value,
-            reason="accepted",
+        return _new(
+            NormalizationOutcome,
+            (concept, span, True, entry.concept, best.distance, entry.polarity_value, None, "accepted"),
         )
-    return NormalizationOutcome(
-        original=candidate.concept,
-        span=candidate.span,
-        accepted=False,
-        reason="above_accept_distance" if matches else "no_candidate",
-    )
+    reason = "above_accept_distance" if matches else "no_candidate"
+    return _new(NormalizationOutcome, (concept, span, False, None, None, None, None, reason))
 
 
 def sentence_polarity(
@@ -161,8 +148,8 @@ def sentence_polarity(
     trace = tuple(
         normalize_concept(c, lex, idx, g2p, cfg)
         if normalize or c.matched_iv
-        else NormalizationOutcome(
-            original=c.concept, span=c.span, accepted=False, reason="not_normalized"
+        else _new(
+            NormalizationOutcome, (c.concept, c.span, False, None, None, None, None, "not_normalized")
         )
         for c in candidates
     )

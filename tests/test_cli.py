@@ -210,6 +210,13 @@ def test_bench_times_g2p_through_the_rules(capsys, monkeypatch):
     assert record["g2p_us_per_token"] > 0
 
 
+def test_bench_times_extraction(capsys):
+    # with or without a gate, over the substituted tokens of the corpus
+    assert run(["bench", "--queries", "1"]) == 0
+    (record,) = _json_lines(capsys)
+    assert isinstance(record["extract_us_per_sentence"], float) and record["extract_us_per_sentence"] > 0
+
+
 def test_bench_scans_with_the_lexicon_variant(capsys, monkeypatch):
     seen = []
 

@@ -12,7 +12,7 @@ from micronorm.concepts import (
     substituted_tokens,
 )
 from micronorm.g2p import default_engine
-from micronorm.lexicon import compile_lexicon, load_compiled, save_compiled
+from micronorm.lexicon import LexiconEntry, PhonLexicon, compile_lexicon, load_compiled, save_compiled
 from micronorm.oov_gate import tokenize
 from micronorm.resources import GATE_CORPUS, MICROTEXT_SUITE, data_path, default_lexicon
 
@@ -202,8 +202,27 @@ def test_three_token_concept_found():
     assert [c.concept for c in extract_concepts("a little bit", _SMALL, max_n=2)] == ["a_little", "bit"]
 
 
+def _extendable(lex):
+    """The key table's keys that extraction may extend: the concept prefixes."""
+    return {key for key, (_, extendable) in lex.key_table.items() if extendable}
+
+
 def test_prefixes_are_concepts_cut_before_each_underscore():
-    assert _SMALL.prefixes == {"a", "a_little", "good", "good_morning", "good_morning_to"}
+    assert _extendable(_SMALL) == {"a", "a_little", "good", "good_morning", "good_morning_to"}
+    concepts = {key for key, (is_concept, _) in _SMALL.key_table.items() if is_concept}
+    assert concepts == set(_SMALL.surface_map)
+    assert set(_SMALL.key_table) == concepts | _extendable(_SMALL)
+
+
+def test_key_table_flags_keys_that_are_both_concept_and_prefix():
+    for key in ("a", "a_little", "good_morning"):
+        assert _SMALL.key_table[key] == (True, True), key
+    assert _SMALL.key_table["good"] == (False, True)
+    assert _SMALL.key_table["a_little_bit"] == (True, False)
+    # built in __post_init__, so a lexicon built by hand has it too
+    hand_built = PhonLexicon([LexiconEntry("thank_you", 0.8, "θæŋkju", "T520")])
+    assert hand_built.key_table == {"thank": (False, True), "thank_you": (True, False)}
+    assert PhonLexicon(list(_SMALL.entries)).key_table == _SMALL.key_table
 
 
 def test_extraction_rejects_max_n_below_one():
@@ -215,7 +234,8 @@ def test_loaded_lexicon_extracts_like_the_compiled_one(tmp_path):
     path = tmp_path / "lex.jsonl"
     save_compiled(_BUNDLED, path)
     loaded = load_compiled(path)
-    assert loaded.prefixes == _BUNDLED.prefixes
+    assert _extendable(loaded) == _extendable(_BUNDLED)
+    assert loaded.key_table == _BUNDLED.key_table
     for name in (GATE_CORPUS, MICROTEXT_SUITE):
         with open(data_path(name), encoding="utf-8") as fh:
             for line in fh:

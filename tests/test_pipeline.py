@@ -322,6 +322,52 @@ def test_reason_not_normalized_when_gated_iv(lexicon, g2p, index):
     assert [o.reason for o in result.trace] == ["iv", "not_normalized"]
 
 
+_NOT_ACCEPTED = {"accepted": False, "matched": None, "distance": None, "polarity_value": None, "error": None}
+_GOOD = {"accepted": True, "matched": "good", "polarity_value": 0.9, "error": None}
+
+
+@pytest.mark.parametrize(
+    "concept,matched_iv,settings,fields",
+    [
+        ("good", True, {}, {**_GOOD, "distance": 0.0, "reason": "iv"}),
+        # the Dice distance from "gud" to "good" is 1 - 4/6
+        ("gud", False, {}, {**_GOOD, "distance": 1 - 4 / 6, "reason": "accepted"}),
+        ("gud", False, {"accept_distance": 0.1}, {**_NOT_ACCEPTED, "reason": "above_accept_distance"}),
+        ("gud", False, {"accept_distance": 0.0, "min_sim": 1.0}, {**_NOT_ACCEPTED, "reason": "no_candidate"}),
+        (
+            "caf\u00e9",
+            False,
+            {},
+            {
+                **_NOT_ACCEPTED,
+                "error": "token 'caf\u00e9' has characters outside [a-z0-9-]",
+                "reason": "encoding_error",
+            },
+        ),
+    ],
+)
+def test_outcome_fields_by_name(lexicon, g2p, index, concept, matched_iv, settings, fields):
+    # outcomes are built positionally; comparing by name catches a field-order slip
+    # that equality with another positional tuple would not
+    cand = ConceptCandidate(concept=concept, span=(3, 4), matched_iv=matched_iv)
+    out = normalize_concept(cand, lexicon, index, g2p, PipelineConfig(**settings))
+    assert out._asdict() == {"original": concept, "span": (3, 4), **fields}
+
+
+def test_not_normalized_outcome_fields_by_name(lexicon, g2p, index):
+    class AlwaysIV:
+        def predict(self, text):
+            return IV, 1.0
+
+    cfg = PipelineConfig(gate_enabled=True)
+    result = sentence_polarity("good morning hapy", lexicon, index, g2p, cfg, model=AlwaysIV())
+    iv = {"accepted": True, "matched": "good_morning", "distance": 0.0, "polarity_value": 0.5, "error": None}
+    assert [o._asdict() for o in result.trace] == [
+        {"original": "good_morning", "span": (0, 2), **iv, "reason": "iv"},
+        {"original": "hapy", "span": (2, 3), **_NOT_ACCEPTED, "reason": "not_normalized"},
+    ]
+
+
 def test_outcome_is_an_immutable_value():
     a = NormalizationOutcome(original="gud", span=(0, 1), accepted=True, matched="good")
     with pytest.raises(AttributeError):
