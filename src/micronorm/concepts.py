@@ -71,7 +71,6 @@ def extract_concepts(
     sentence: str | list[str],
     lex: PhonLexicon,
     max_n: int = 4,
-    stopwords: frozenset[str] | None = None,
     substitutions: dict[str, str] | None = None,
 ) -> list[ConceptCandidate]:
     """Non-overlapping concept candidates tiling the sentence's tokens.
@@ -79,20 +78,14 @@ def extract_concepts(
     ``sentence`` may also be its ``tokenize`` output, so that a caller that
     has tokenized it already need not do so again.
     """
-    return extract_from_tokens(substituted_tokens(sentence, substitutions), lex, max_n, stopwords)
+    return extract_from_tokens(substituted_tokens(sentence, substitutions), lex, max_n)
 
 
-def extract_from_tokens(
-    tokens: list[str],
-    lex: PhonLexicon,
-    max_n: int = 4,
-    stopwords: frozenset[str] | None = None,
-) -> list[ConceptCandidate]:
+def extract_from_tokens(tokens: list[str], lex: PhonLexicon, max_n: int = 4) -> list[ConceptCandidate]:
     """Concept candidates of already substituted tokens (see ``substituted_tokens``)."""
     if max_n < 1:
         raise ValueError(f"max_n must be at least 1, got {max_n}")
-    if stopwords is None:
-        stopwords = default_stopwords()
+    stopwords = default_stopwords()
     table, new = lex.key_table, tuple.__new__
     # tokenizer output may carry apostrophes; concept keys may not
     keys = [tok.replace("'", "") for tok in tokens]

@@ -129,18 +129,13 @@ class G2PEngine:
 
     The exception and digit tables are mapping proxies and the rules a
     tuple, so ``encode_concept`` can memoize its encodings per engine
-    without any of them going stale.
+    without any of them going stale.  Digits are spoken as in ``DIGIT_MAP``.
     """
 
-    def __init__(
-        self,
-        exceptions: dict[str, str],
-        rules: list[RewriteRule],
-        digit_map: dict[str, str] | None = None,
-    ):
+    def __init__(self, exceptions: dict[str, str], rules: list[RewriteRule]):
         self.exceptions = MappingProxyType(dict(exceptions))
         self.rules = tuple(rules)
-        self.digit_map = MappingProxyType(dict(digit_map or DIGIT_MAP))
+        self.digit_map = MappingProxyType(dict(DIGIT_MAP))
         # Rules keyed by the two letters at the read position, file order
         # kept; a one-letter pattern also sits under every key of its
         # letter and under the letter alone, the key at a run's end.  The

@@ -83,9 +83,6 @@ class PhonLexicon:
                 prefix = "_".join(parts[:n])
                 self.key_table[prefix] = (prefix in self.surface_map, True)
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
     def lookup(self, surface: str) -> LexiconEntry | None:
         idx = self.surface_map.get(surface)
         return None if idx is None else self.entries[idx]

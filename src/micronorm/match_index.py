@@ -123,19 +123,12 @@ def build_index(lex: PhonLexicon, variant: DistanceVariant = DistanceVariant.CHA
     return MatchIndex(variant, concepts, scores, chars, short, memo)
 
 
-def top_k(
-    idx: MatchIndex,
-    query: str,
-    k: int = 1,
-    min_sim: float = 0.0,
-    variant: DistanceVariant | None = None,
-) -> list[MatchResult]:
-    """Top-k entries by ascending (distance, entry_id), distance <= 1 - min_sim.
+def top_k(idx: MatchIndex, query: str, k: int = 1, min_sim: float = 0.0) -> list[MatchResult]:
+    """Top-k entries by ascending (distance, entry_id), distance <= 1 - min_sim,
+    under the variant the index was built for.
 
     Answers are memoized per index; every call returns a fresh list.
     """
-    if variant is not None and variant is not idx.variant:
-        raise SimilarityError(f"index built for {idx.variant.value}, queried as {variant.value}")
     if not query:
         raise SimilarityError("empty query")
     if k < 1:

@@ -111,9 +111,6 @@ class TfIdfVectorizer:
         n = self.num_docs
         self.idf_table = [math.log((1 + n) / (1 + df)) + 1.0 for df in self.doc_freq]
 
-    def idf(self, feature: int) -> float:
-        return self.idf_table[feature]
-
     def _weigh(self, text: str | list[str]) -> tuple[dict[int, int], list[float], float]:
         """Feature counts of a text or its tokens in first-seen order, their raw
         TF-IDF weights, and the L2 norm to divide them by: 1.0 where it is not
@@ -155,6 +152,10 @@ def fit_tfidf(texts: list[str]) -> TfIdfVectorizer:
 
 NB_KIND = "MultinomialNB"
 LR_KIND = "LogisticSGD"
+# training hyperparameters, recorded in each model's ``hyperparams``
+NB_ALPHA = 1.0  # additive smoothing
+LR_LEARNING_RATE = 0.1
+LR_EPOCHS = 20
 
 
 @dataclass
@@ -191,7 +192,7 @@ class GateModel:
         return (OOV if score >= 0.5 else IV), score
 
 
-def _train_nb(records, vectorizer: TfIdfVectorizer, alpha: float) -> tuple[dict, dict]:
+def _train_nb(records, vectorizer: TfIdfVectorizer) -> tuple[dict, dict]:
     nvoc = len(vectorizer.vocabulary)
     counts = {label: 0 for label in LABELS}
     mass = {label: [0.0] * nvoc for label in LABELS}
@@ -203,19 +204,20 @@ def _train_nb(records, vectorizer: TfIdfVectorizer, alpha: float) -> tuple[dict,
     log_prior = {label: math.log(counts[label] / total) for label in LABELS}
     log_likelihood = {}
     for label in LABELS:
-        denom = sum(mass[label]) + alpha * nvoc
-        log_likelihood[label] = [math.log((m + alpha) / denom) for m in mass[label]]
+        denom = sum(mass[label]) + NB_ALPHA * nvoc
+        log_likelihood[label] = [math.log((m + NB_ALPHA) / denom) for m in mass[label]]
     return log_prior, log_likelihood
 
 
-def _train_lr(records, vectorizer: TfIdfVectorizer, lr: float, epochs: int, seed: int):
+def _train_lr(records, vectorizer: TfIdfVectorizer, seed: int):
     nvoc = len(vectorizer.vocabulary)
     weights = np.zeros(nvoc)
     bias = 0.0
     vectors = [(vectorizer.transform(text), 1.0 if label == OOV else 0.0) for text, label in records]
     rng = random.Random(seed)
     order = list(range(len(vectors)))
-    for _ in range(epochs):
+    lr = LR_LEARNING_RATE
+    for _ in range(LR_EPOCHS):
         rng.shuffle(order)
         for i in order:
             vec, y = vectors[i]
@@ -228,36 +230,29 @@ def _train_lr(records, vectorizer: TfIdfVectorizer, lr: float, epochs: int, seed
     return [float(w) for w in weights], float(bias)
 
 
-def train(
-    records: list[tuple[str, str]],
-    kind: str = LR_KIND,
-    seed: int = 42,
-    alpha: float = 1.0,
-    learning_rate: float = 0.1,
-    epochs: int = 20,
-) -> GateModel:
+def train(records: list[tuple[str, str]], kind: str = LR_KIND, seed: int = 42) -> GateModel:
     """Train a gate model; deterministic for a fixed seed."""
     present = {label for _, label in records}
     if set(LABELS) - present:
         raise GateError(f"training corpus must contain both labels, got {sorted(present)}")
     vectorizer = fit_tfidf([text for text, _ in records])
     if kind == NB_KIND:
-        log_prior, log_likelihood = _train_nb(records, vectorizer, alpha)
+        log_prior, log_likelihood = _train_nb(records, vectorizer)
         return GateModel(
             kind=kind,
             vectorizer=vectorizer,
             seed=seed,
-            hyperparams={"alpha": alpha},
+            hyperparams={"alpha": NB_ALPHA},
             log_prior=log_prior,
             log_likelihood=log_likelihood,
         )
     if kind == LR_KIND:
-        weights, bias = _train_lr(records, vectorizer, learning_rate, epochs, seed)
+        weights, bias = _train_lr(records, vectorizer, seed)
         return GateModel(
             kind=kind,
             vectorizer=vectorizer,
             seed=seed,
-            hyperparams={"learning_rate": learning_rate, "epochs": epochs},
+            hyperparams={"learning_rate": LR_LEARNING_RATE, "epochs": LR_EPOCHS},
             weights=weights,
             bias=bias,
         )
@@ -274,15 +269,6 @@ class EvalReport:
     recall: dict[str, float]
     f1: dict[str, float]
     confusion: dict[str, dict[str, int]]
-
-    def as_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "confusion": self.confusion,
-        }
 
 
 def evaluate(model: GateModel, records: list[tuple[str, str]]) -> EvalReport:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .concepts import ConceptCandidate, extract_concepts, extract_from_tokens, substituted_tokens
+from .concepts import ConceptCandidate, extract_concepts, substituted_tokens
 from .errors import ConfigError, EncodingError, MicronormError
 from .g2p import G2PEngine
 from .lexicon import PhonLexicon, polarity_label
@@ -168,8 +168,11 @@ def normalize_sentence(
     cfg: PipelineConfig,
 ) -> str:
     """Rewrite accepted concept spans with their matched surface forms."""
-    tokens = substituted_tokens(sentence)
-    candidates = extract_from_tokens(tokens, lex, max_n=cfg.max_ngram)
+    # extraction goes through extract_concepts, as in sentence_polarity, so a
+    # tracer that rebinds that name sees it on both paths
+    raw = tokenize(sentence)
+    candidates = extract_concepts(raw, lex, max_n=cfg.max_ngram)
+    tokens = substituted_tokens(raw)
     replacements: dict[int, tuple[int, str]] = {}
     for cand in candidates:
         outcome = normalize_concept(cand, lex, idx, g2p, cfg)

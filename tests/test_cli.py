@@ -167,15 +167,6 @@ def test_eval_stdout_bytes_pinned(capsys, flags, digest):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
-def test_eval_threads_agree_with_serial(capsys):
-    assert run(["eval"]) == 0
-    serial = json.loads(capsys.readouterr().out)
-    assert run(["eval", "--threads", "4"]) == 0
-    threaded = json.loads(capsys.readouterr().out)
-    assert threaded["accuracy_after"] == pytest.approx(serial["accuracy_after"])
-    assert threaded["delta"] == pytest.approx(serial["delta"])
-
-
 def test_bench_with_gate(tmp_path, capsys):
     model = tmp_path / "gate.json"
     corpus = data_path("gate_corpus.tsv")
@@ -306,9 +297,9 @@ def test_reader_closing_the_pipe_ends_quietly(tmp_path):
     [
         ["bench", "--queries", "0"],
         ["bench", "--queries", "many"],
-        ["eval", "--threads", "0"],
+        ["match", "--query", "gud", "--k", "0"],
         ["polarity", "--max-ngram", "0", "--text", "good morning hapy"],
-        ["eval", "--k", "0"],
+        ["bench", "--k", "0"],
         ["report-duplicates", "--top", "0"],
         ["report-duplicates", "--top", "-1"],
     ],
@@ -406,6 +397,8 @@ def test_invalid_utf8_on_stdin_replaced_and_dropped():
         # only the best match is read, which no k changes
         ["normalize", "--k", "3", "--text", "gud"],
         ["polarity", "--k", "3", "--text", "gud"],
+        ["eval", "--k", "3"],
+        ["eval", "--threads", "2"],
     ],
 )
 def test_exit_usage_on_flag_the_command_does_not_read(capsys, argv):
@@ -423,9 +416,10 @@ def test_each_command_takes_only_its_own_flags():
         name: {a.dest for a in sub._actions if a.option_strings and a.dest != "help"}
         for name, sub in subs.choices.items()
     }
-    assert sum(map(len, flags.values())) <= 85
+    assert sum(map(len, flags.values())) <= 83
     assert flags["distance"] == {"a", "b", "variant", "format"}
-    assert [name for name, dests in flags.items() if "threads" in dests] == ["eval"]
+    assert not any("threads" in dests for dests in flags.values())
+    assert [name for name, dests in flags.items() if "k" in dests] == ["match", "bench"]
     assert "format" not in flags["eval"] and "variant" not in flags["report-duplicates"]
 
 

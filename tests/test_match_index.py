@@ -212,11 +212,6 @@ def test_results_hold_builtin_types(lexicon):
     )
 
 
-def test_variant_mismatch_rejected(lexicon):
-    with pytest.raises(SimilarityError):
-        top_k(lexicon.match_index, "gVd", k=1, variant=DistanceVariant.BIGRAM)
-
-
 def test_invalid_arguments(lexicon):
     idx = lexicon.match_index
     with pytest.raises(SimilarityError):
@@ -289,8 +284,12 @@ def test_memo_key_holds_k_and_min_sim(lexicon):
 def test_arguments_checked_before_the_memo(lexicon):
     idx = build_index(lexicon)
     top_k(idx, "gVd", k=5, min_sim=0.5)
-    with pytest.raises(SimilarityError):
-        top_k(idx, "gVd", k=5, min_sim=0.5, variant=DistanceVariant.BIGRAM)
+    for bad in ({"k": 0}, {"min_sim": 1.5}):
+        with pytest.raises(SimilarityError):
+            top_k(idx, "gVd", **{"k": 5, "min_sim": 0.5, **bad})
+    # the refused calls never reached the memo
+    info = idx.memo.cache_info()
+    assert (info.hits, info.misses) == (0, 1)
 
 
 def test_memo_bounded(lexicon):

@@ -61,7 +61,7 @@ def test_tfidf_ignores_unseen_tokens():
 def test_tfidf_idf_direction():
     # "so" appears in more documents than "hapy", so its idf is lower.
     vec = fit_tfidf([t for t, _ in TOY])
-    assert vec.idf(vec.vocabulary["so"]) < vec.idf(vec.vocabulary["hapy"])
+    assert vec.idf_table[vec.vocabulary["so"]] < vec.idf_table[vec.vocabulary["hapy"]]
 
 
 def test_tfidf_empty_corpus_rejected():

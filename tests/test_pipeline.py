@@ -143,16 +143,23 @@ def test_normalize_sentence_idempotent_over_suite(suite, lexicon, g2p, index, cf
 
 
 def test_normalize_sentence_calls_the_names_a_tracer_rebinds(monkeypatch, lexicon):
-    """The benchmark's tracer rebinds the module globals ``top_k`` and
-    ``normalize_concept`` and reads their first positional arguments (the
-    query, the candidate's ``matched_iv``); it wraps ``encode_concept`` in an
-    instance attribute and deletes that attribute afterwards.  So every search
-    of ``normalize_sentence`` must pass through these names, positionally."""
+    """The benchmark's tracer rebinds the module globals ``extract_concepts``,
+    ``top_k`` and ``normalize_concept``, counts the OOV candidates extraction
+    returns and reads the others' first positional arguments (the query, the
+    candidate's ``matched_iv``); it wraps ``encode_concept`` in an instance
+    attribute and deletes that attribute afterwards.  So the extraction and
+    every search of ``normalize_sentence`` must pass through these names,
+    positionally."""
     engine = G2PEngine(dict(default_engine().exceptions), default_engine().rules)
     idx = build_index(lexicon, DistanceVariant.BIGRAM)
     cfg = PipelineConfig(variant=DistanceVariant.BIGRAM)
-    searched, resolved, encoded = [], [], []
+    extracted, searched, resolved, encoded = [], [], [], []
+    original_extract = pipeline.extract_concepts
     original_top_k, original_normalize = pipeline.top_k, pipeline.normalize_concept
+
+    def extract_spy(*args, **kwargs):
+        extracted.append((args, original_extract(*args, **kwargs)))
+        return extracted[-1][1]
 
     def top_k_spy(*args, **kwargs):
         searched.append(args)
@@ -166,6 +173,7 @@ def test_normalize_sentence_calls_the_names_a_tracer_rebinds(monkeypatch, lexico
         encoded.append(surface)
         return G2PEngine.encode_concept(engine, surface)
 
+    monkeypatch.setattr(pipeline, "extract_concepts", extract_spy)
     monkeypatch.setattr(pipeline, "top_k", top_k_spy)
     monkeypatch.setattr(pipeline, "normalize_concept", normalize_spy)
     engine.encode_concept = encode_spy
@@ -173,6 +181,8 @@ def test_normalize_sentence_calls_the_names_a_tracer_rebinds(monkeypatch, lexico
     del engine.encode_concept
     assert "encode_concept" not in vars(engine)
     oov = [args[0].concept for args in resolved if not args[0].matched_iv]
+    ((args, candidates),) = extracted
+    assert args[1] is lexicon and [c.concept for c in candidates if not c.matched_iv] == oov
     assert all(isinstance(args[0], ConceptCandidate) for args in resolved)
     assert len(oov) >= 2 and encoded == oov
     assert all(args[0] is idx for args in searched)

@@ -1,0 +1,155 @@
+"""``sentence_polarity`` against a plain reading of the paper's pipeline.
+
+The reference below keeps no memo and builds no record positionally:
+tokenize and substitute shorthand, take the greedy longest lexicon match
+at each token (stopwords are never OOV candidates), encode each OOV
+candidate, take its nearest entry by exhaustive scan, keep it within
+``1 - min_sim``, accept it within ``accept_distance``, and average the
+accepted polarities.  The pipeline under test must agree on the label,
+the score and every field of every outcome, with its memos cold (a fresh
+engine and index) and warm (a pair reused across examples, run twice).
+"""
+
+import functools
+import string
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from micronorm.concepts import default_stopwords, default_substitutions
+from micronorm.errors import EncodingError
+from micronorm.g2p import G2PEngine, default_engine
+from micronorm.lexicon import polarity_label
+from micronorm.match_index import build_index
+from micronorm.oov_gate import IV, LR_KIND, load_labeled_corpus, tokenize, train
+from micronorm.pipeline import (
+    UNGATED,
+    NormalizationOutcome,
+    PipelineConfig,
+    SentencePolarity,
+    sentence_polarity,
+)
+from micronorm.resources import GATE_CORPUS, data_path, default_lexicon
+from micronorm.similarity import DistanceVariant, closest_match_scan
+
+_LEX = default_lexicon()
+
+
+def _fresh_engine() -> G2PEngine:
+    engine = default_engine()
+    return G2PEngine(dict(engine.exceptions), engine.rules)
+
+
+@functools.cache
+def _shared_pair(variant):
+    return _fresh_engine(), build_index(_LEX, variant)
+
+
+@functools.cache
+def _nearest(query, variant):
+    """The scan costs tens of ms, and examples repeat queries."""
+    return closest_match_scan(query, _LEX, k=1, variant=variant)[0]
+
+
+def _reference_extract(tokens, max_n):
+    stopwords = default_stopwords()
+    found, i = [], 0
+    while i < len(tokens):
+        for n in range(min(max_n, len(tokens) - i), 0, -1):
+            key = "_".join(tok.replace("'", "") for tok in tokens[i : i + n])
+            if key in _LEX.surface_map:
+                found.append((key, (i, i + n), True))
+                i += n
+                break
+        else:
+            if tokens[i] not in stopwords:
+                found.append((tokens[i].replace("'", ""), (i, i + 1), False))
+            i += 1
+    return found
+
+
+def _reference_resolve(concept, span, variant, cfg):
+    try:
+        query = default_engine().encode_unmemoized(concept)
+    except EncodingError as exc:
+        return NormalizationOutcome(concept, span, False, error=str(exc), reason="encoding_error")
+    best = _nearest(query, variant)
+    if best.distance > 1.0 - cfg.min_sim:
+        return NormalizationOutcome(concept, span, False, reason="no_candidate")
+    if best.distance > cfg.accept_distance:
+        return NormalizationOutcome(concept, span, False, reason="above_accept_distance")
+    entry = _LEX.entries[best.entry_id]
+    return NormalizationOutcome(
+        concept, span, True, matched=entry.concept, distance=best.distance,
+        polarity_value=entry.polarity_value, reason="accepted",
+    )
+
+
+def _reference_polarity(sentence, variant, cfg, model=None):
+    substitutions = default_substitutions()
+    tokens = [substitutions.get(tok, tok) for tok in tokenize(sentence)]
+    gated_as = UNGATED if model is None else model.predict(sentence)[0]
+    trace = []
+    for concept, span, iv in _reference_extract(tokens, cfg.max_ngram):
+        if iv:
+            entry = _LEX.lookup(concept)
+            trace.append(NormalizationOutcome(
+                concept, span, True, matched=entry.concept, distance=0.0,
+                polarity_value=entry.polarity_value, reason="iv",
+            ))
+        elif gated_as == IV:
+            trace.append(NormalizationOutcome(concept, span, False, reason="not_normalized"))
+        else:
+            trace.append(_reference_resolve(concept, span, variant, cfg))
+    accepted = [o.polarity_value for o in trace if o.accepted]
+    score = sum(accepted) / len(accepted) if accepted else 0.0
+    return SentencePolarity(polarity_label(score), score, tuple(trace), gated_as)
+
+
+_WORDS = sorted({w for e in _LEX.entries for w in e.concept.split("_")})
+_PHRASES = sorted(e.concept.replace("_", " ") for e in _LEX.entries if "_" in e.concept)
+# microtext, plus "x" (no entry within 1 - min_sim under either variant)
+# and "hgh" (every letter silent, an encoding error)
+_ODD = ["gud", "gr8", "2morrow", "l0l", "don't", "0", "x", "hgh"]
+
+
+@st.composite
+def _distorted(draw):
+    """A lexicon word with one letter replaced, dropped or inserted."""
+    word = draw(st.sampled_from(_WORDS))
+    i = draw(st.integers(0, len(word)))
+    letter = draw(st.sampled_from(string.ascii_lowercase))
+    edits = [word[:i] + letter + word[i + 1 :], word[:i] + word[i + 1 :], word[:i] + letter + word[i:]]
+    return draw(st.sampled_from(edits))
+
+
+_SENTENCES = st.lists(
+    st.one_of(
+        st.sampled_from(_WORDS),
+        st.sampled_from(_PHRASES),
+        st.sampled_from(sorted(default_stopwords())),
+        st.sampled_from(sorted(default_substitutions())),
+        st.sampled_from(_ODD),
+        _distorted(),
+    ),
+    max_size=6,
+).map(" ".join)
+
+
+@pytest.fixture(scope="module")
+def gate_model():
+    return train(load_labeled_corpus(data_path(GATE_CORPUS)), kind=LR_KIND, seed=42)
+
+
+@pytest.mark.parametrize("variant", list(DistanceVariant))
+@settings(max_examples=25, deadline=None)
+@given(sentence=_SENTENCES)
+@example(sentence="the road is seriously deadly honestly")  # gated as IV, with OOV candidates
+def test_pipeline_matches_the_reference(gate_model, variant, sentence):
+    warm = _shared_pair(variant)
+    for model in (None, gate_model):
+        cfg = PipelineConfig(variant=variant, gate_enabled=model is not None)
+        want = _reference_polarity(sentence, variant, cfg, model)
+        cold = (_fresh_engine(), build_index(_LEX, variant))
+        for g2p, idx in (cold, warm, warm):
+            assert sentence_polarity(sentence, _LEX, idx, g2p, cfg, model=model) == want
