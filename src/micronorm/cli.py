@@ -57,7 +57,7 @@ from .pipeline import (
     normalize_sentence,
     sentence_polarity,
 )
-from .resources import MICROTEXT_SUITE, data_path, default_lexicon
+from .resources import GATE_CORPUS, MICROTEXT_SUITE, data_path, default_lexicon
 from .similarity import DistanceVariant, closest_match_scan, dice_distance
 from .soundex import soundex_concept
 
@@ -160,7 +160,6 @@ def _pipeline_config(args, model=None) -> PipelineConfig:
         variant=DistanceVariant(args.variant),
         gate_enabled=model is not None,
         min_sim=args.min_sim,
-        max_ngram=args.max_ngram,
     )
 
 
@@ -391,7 +390,7 @@ def cmd_bench(args, emit):
             best = min(best, time.perf_counter() - t0)
         return round(1e6 * best / len(items), 3)
 
-    records = load_labeled_corpus(args.corpus or data_path("gate_corpus.tsv"))
+    records = load_labeled_corpus(args.corpus or data_path(GATE_CORPUS))
     substituted = [substituted_tokens(text) for text, _ in records]
     out = {
         "queries": len(queries),
@@ -400,7 +399,7 @@ def cmd_bench(args, emit):
         "index_ms_per_query": round(1000.0 * index_s / len(queries), 4),
         "speedup": round(scan_s / index_s, 2) if index_s > 0 else None,
         "extract_us_per_sentence": us_per_item(
-            lambda toks: extract_from_tokens(toks, lex, cfg.max_ngram), substituted
+            lambda toks: extract_from_tokens(toks, lex), substituted
         ),
     }
 
@@ -472,7 +471,6 @@ _PIPELINE = [
     *_LEXICON,
     *_SEARCH,
     _flag("--accept-distance", type=_fraction, default=0.45),
-    _flag("--max-ngram", type=_at_least_one, default=4),
 ]
 _GATE = [_flag("--gate-model", help="trained gate model path")]
 

@@ -3,12 +3,12 @@
 A greedy left-to-right pass finds, at each token, the longest lexicon
 concept that starts there.  It walks the lexicon's key table, one probe
 per key: from the unigram key it appends one token at a time while the
-key so far can be extended (is a prefix of a multi-word concept), up to
-``max_n`` tokens, and keeps the longest key that is itself a concept.
-Hits become in-vocabulary candidates; any other non-stopword token
-becomes a single-token out-of-vocabulary candidate for phonetic
-normalization.  A tiny substitution table rewrites pronoun-like
-shorthand (u, r, 2, ...) before extraction.
+key so far can be extended (is a prefix of a multi-word concept), and
+keeps the longest key that is itself a concept, so the lexicon's longest
+concept bounds the walk.  Hits become in-vocabulary candidates; any
+other non-stopword token becomes a single-token out-of-vocabulary
+candidate for phonetic normalization.  A tiny substitution table
+rewrites pronoun-like shorthand (u, r, 2, ...) before extraction.
 
 Each candidate is a ``ConceptCandidate`` named tuple: immutable,
 hashable and equal by value.  Extraction builds it positionally with
@@ -70,7 +70,6 @@ def default_substitutions() -> dict[str, str]:
 def extract_concepts(
     sentence: str | list[str],
     lex: PhonLexicon,
-    max_n: int = 4,
     substitutions: dict[str, str] | None = None,
 ) -> list[ConceptCandidate]:
     """Non-overlapping concept candidates tiling the sentence's tokens.
@@ -78,13 +77,11 @@ def extract_concepts(
     ``sentence`` may also be its ``tokenize`` output, so that a caller that
     has tokenized it already need not do so again.
     """
-    return extract_from_tokens(substituted_tokens(sentence, substitutions), lex, max_n)
+    return extract_from_tokens(substituted_tokens(sentence, substitutions), lex)
 
 
-def extract_from_tokens(tokens: list[str], lex: PhonLexicon, max_n: int = 4) -> list[ConceptCandidate]:
+def extract_from_tokens(tokens: list[str], lex: PhonLexicon) -> list[ConceptCandidate]:
     """Concept candidates of already substituted tokens (see ``substituted_tokens``)."""
-    if max_n < 1:
-        raise ValueError(f"max_n must be at least 1, got {max_n}")
     stopwords = default_stopwords()
     table, new = lex.key_table, tuple.__new__
     # tokenizer output may carry apostrophes; concept keys may not
@@ -100,8 +97,8 @@ def extract_from_tokens(tokens: list[str], lex: PhonLexicon, max_n: int = 4) -> 
             hit, end = (key, i + 1) if is_concept else (None, i)
             # a concept of m+1 tokens has its m-token key marked extendable, so
             # the walk never stops short of the longest concept starting at i
-            j, stop = i + 1, (i + max_n if i + max_n < n else n)
-            while extendable and j < stop:
+            j = i + 1
+            while extendable and j < n:
                 key = f"{key}_{keys[j]}"
                 j += 1
                 flags = table.get(key)

@@ -57,10 +57,6 @@ class LexiconEntry:
     ipa: str
     soundex: str
 
-    @property
-    def polarity_label(self) -> str:
-        return polarity_label(self.polarity_value)
-
 
 @dataclass
 class PhonLexicon:
@@ -82,10 +78,6 @@ class PhonLexicon:
             for n in range(1, len(parts)):
                 prefix = "_".join(parts[:n])
                 self.key_table[prefix] = (prefix in self.surface_map, True)
-
-    def lookup(self, surface: str) -> LexiconEntry | None:
-        idx = self.surface_map.get(surface)
-        return None if idx is None else self.entries[idx]
 
     @cached_property
     def match_index(self):

@@ -16,8 +16,6 @@ import re
 import unicodedata
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import GateError
 
 IV = "IV"
@@ -211,7 +209,7 @@ def _train_nb(records, vectorizer: TfIdfVectorizer) -> tuple[dict, dict]:
 
 def _train_lr(records, vectorizer: TfIdfVectorizer, seed: int):
     nvoc = len(vectorizer.vocabulary)
-    weights = np.zeros(nvoc)
+    weights = [0.0] * nvoc
     bias = 0.0
     vectors = [(vectorizer.transform(text), 1.0 if label == OOV else 0.0) for text, label in records]
     rng = random.Random(seed)
@@ -227,7 +225,7 @@ def _train_lr(records, vectorizer: TfIdfVectorizer, seed: int):
             bias -= lr * g
             for j, w in vec.items():
                 weights[j] -= lr * g * w
-    return [float(w) for w in weights], float(bias)
+    return weights, bias
 
 
 def train(records: list[tuple[str, str]], kind: str = LR_KIND, seed: int = 42) -> GateModel:

@@ -37,7 +37,6 @@ class PipelineConfig:
     variant: DistanceVariant = DistanceVariant.CHAR_SET
     gate_enabled: bool = False
     min_sim: float = 0.5
-    max_ngram: int = 4
 
     def __post_init__(self):
         if not 0.0 <= self.accept_distance <= 1.0:
@@ -51,8 +50,6 @@ class PipelineConfig:
             )
         if self.k < 1:
             raise ConfigError("k must be >= 1")
-        if self.max_ngram < 1:
-            raise ConfigError("max_ngram must be >= 1")
 
 
 class NormalizationOutcome(NamedTuple):
@@ -143,7 +140,7 @@ def sentence_polarity(
     gated_as = UNGATED
     if cfg.gate_enabled and model is not None:
         gated_as, _ = model.predict(tokens)
-    candidates = extract_concepts(tokens, lex, max_n=cfg.max_ngram)
+    candidates = extract_concepts(tokens, lex)
     normalize = with_normalization and gated_as != IV
     trace = tuple(
         normalize_concept(c, lex, idx, g2p, cfg)
@@ -171,24 +168,13 @@ def normalize_sentence(
     # extraction goes through extract_concepts, as in sentence_polarity, so a
     # tracer that rebinds that name sees it on both paths
     raw = tokenize(sentence)
-    candidates = extract_concepts(raw, lex, max_n=cfg.max_ngram)
-    tokens = substituted_tokens(raw)
-    replacements: dict[int, tuple[int, str]] = {}
-    for cand in candidates:
-        outcome = normalize_concept(cand, lex, idx, g2p, cfg)
-        if outcome.accepted and outcome.matched is not None:
-            start, end = outcome.span
-            replacements[start] = (end, outcome.matched.replace("_", " "))
-    out: list[str] = []
-    i = 0
-    while i < len(tokens):
-        if i in replacements:
-            end, text = replacements[i]
-            out.append(text)
-            i = end
-        else:
-            out.append(tokens[i])
-            i += 1
+    outcomes = [normalize_concept(c, lex, idx, g2p, cfg) for c in extract_concepts(raw, lex)]
+    out = substituted_tokens(raw)
+    # right to left, so each span's offsets still hold when it is spliced
+    for o in reversed(outcomes):
+        if o.accepted:
+            start, end = o.span
+            out[start:end] = [o.matched.replace("_", " ")]
     return " ".join(out)
 
 

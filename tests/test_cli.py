@@ -298,7 +298,7 @@ def test_reader_closing_the_pipe_ends_quietly(tmp_path):
         ["bench", "--queries", "0"],
         ["bench", "--queries", "many"],
         ["match", "--query", "gud", "--k", "0"],
-        ["polarity", "--max-ngram", "0", "--text", "good morning hapy"],
+        ["match", "--query", "gud", "--k", "-2"],
         ["bench", "--k", "0"],
         ["report-duplicates", "--top", "0"],
         ["report-duplicates", "--top", "-1"],
@@ -399,6 +399,8 @@ def test_invalid_utf8_on_stdin_replaced_and_dropped():
         ["polarity", "--k", "3", "--text", "gud"],
         ["eval", "--k", "3"],
         ["eval", "--threads", "2"],
+        # the lexicon's longest concept bounds extraction
+        ["polarity", "--max-ngram", "0", "--text", "good morning hapy"],
     ],
 )
 def test_exit_usage_on_flag_the_command_does_not_read(capsys, argv):
@@ -416,9 +418,9 @@ def test_each_command_takes_only_its_own_flags():
         name: {a.dest for a in sub._actions if a.option_strings and a.dest != "help"}
         for name, sub in subs.choices.items()
     }
-    assert sum(map(len, flags.values())) <= 83
+    assert sum(map(len, flags.values())) <= 79
     assert flags["distance"] == {"a", "b", "variant", "format"}
-    assert not any("threads" in dests for dests in flags.values())
+    assert not any({"threads", "max_ngram"} & dests for dests in flags.values())
     assert [name for name, dests in flags.items() if "k" in dests] == ["match", "bench"]
     assert "format" not in flags["eval"] and "variant" not in flags["report-duplicates"]
 

@@ -6,7 +6,6 @@ from micronorm.concepts import (
     default_stopwords,
     default_substitutions,
     extract_concepts,
-    extract_from_tokens,
     load_substitutions,
     load_wordlist,
     substituted_tokens,
@@ -85,13 +84,6 @@ def test_longest_match_shadows_unigrams():
     assert [c.concept for c in got] == ["good_morning"]
 
 
-def test_max_n_limits_ngram_length():
-    g2p = default_engine()
-    lex = compile_lexicon([("good", 0.9), ("morning", 0.1), ("good_morning", 0.5)], g2p)
-    got = extract_concepts("good morning", lex, max_n=1)
-    assert [c.concept for c in got] == ["good", "morning"]
-
-
 def test_load_wordlist_skips_comments(tmp_path):
     p = tmp_path / "w.txt"
     p.write_text("# header\n\nalpha\nbeta\n")
@@ -110,8 +102,8 @@ def test_default_stopwords_nontrivial():
     assert len(sw) >= 50
 
 
-def _oracle_extract(sentence, lex, max_n, substitutions=None):
-    """Extraction by trying every n-gram key from max_n tokens down to one."""
+def _oracle_extract(sentence, lex, substitutions=None):
+    """Extraction by trying every n-gram key, from the rest of the sentence down to one token."""
     stopwords = default_stopwords()
     tokens = substituted_tokens(sentence, substitutions)
 
@@ -120,9 +112,9 @@ def _oracle_extract(sentence, lex, max_n, substitutions=None):
 
     out, i = [], 0
     while i < len(tokens):
-        for n in range(min(max_n, len(tokens) - i), 0, -1):
+        for n in range(len(tokens) - i, 0, -1):
             k = key(tokens[i : i + n])
-            if lex.lookup(k) is not None:
+            if k in lex.surface_map:
                 out.append(ConceptCandidate(concept=k, span=(i, i + n), matched_iv=True))
                 i += n
                 break
@@ -149,13 +141,10 @@ _MULTIWORD = sorted(e.concept.replace("_", " ") for e in _BUNDLED.entries if "_"
 @settings(max_examples=300, deadline=None)
 @given(
     chunks=st.lists(st.one_of(st.sampled_from(_CHUNKS), st.sampled_from(_MULTIWORD)), max_size=10),
-    max_n=st.integers(min_value=1, max_value=4),
 )
-def test_prefix_walk_matches_ngram_oracle(chunks, max_n):
+def test_prefix_walk_matches_ngram_oracle(chunks):
     sentence = " ".join(chunks)
-    assert extract_concepts(sentence, _BUNDLED, max_n=max_n) == _oracle_extract(
-        sentence, _BUNDLED, max_n
-    )
+    assert extract_concepts(sentence, _BUNDLED) == _oracle_extract(sentence, _BUNDLED)
 
 
 _SMALL = compile_lexicon(
@@ -165,6 +154,7 @@ _SMALL = compile_lexicon(
         ("a_little_bit", 0.3),
         ("good_morning", 0.5),
         ("good_morning_to_you", 0.6),
+        ("good_morning_to_you_all", 0.7),
         ("bit", 0.0),
         ("you", 0.1),
     ],
@@ -177,15 +167,16 @@ _ODD_SUBS = {"gm": "good_morning", "lb": "little_bit", "al": "a_little", "zz": "
 @settings(max_examples=300, deadline=None)
 @given(
     words=st.lists(
-        st.sampled_from(["a", "little", "bit", "good", "morning", "to", "you", "gm", "lb", "al", "zz", "2", "u", "x"]),
+        st.sampled_from(
+            ["a", "little", "bit", "good", "morning", "to", "you", "all", "gm", "lb", "al", "zz", "2", "u", "x"]
+        ),
         max_size=10,
     ),
-    max_n=st.integers(min_value=1, max_value=4),
 )
-def test_prefix_walk_matches_oracle_with_odd_substitutions(words, max_n):
+def test_prefix_walk_matches_oracle_with_odd_substitutions(words):
     sentence = " ".join(words)
-    got = extract_concepts(sentence, _SMALL, max_n=max_n, substitutions=_ODD_SUBS)
-    assert got == _oracle_extract(sentence, _SMALL, max_n, _ODD_SUBS)
+    got = extract_concepts(sentence, _SMALL, substitutions=_ODD_SUBS)
+    assert got == _oracle_extract(sentence, _SMALL, _ODD_SUBS)
 
 
 def test_substituted_underscore_value_joins_a_longer_concept():
@@ -199,7 +190,15 @@ def test_three_token_concept_found():
         ConceptCandidate(concept="a_little_bit", span=(0, 3), matched_iv=True),
         ConceptCandidate(concept="gud", span=(3, 4), matched_iv=False),
     ]
-    assert [c.concept for c in extract_concepts("a little bit", _SMALL, max_n=2)] == ["a_little", "bit"]
+
+
+def test_five_token_concept_extracted_whole():
+    # no cap on the n-gram length: the lexicon's longest concept bounds the walk
+    got = extract_concepts("good morning to you all gud", _SMALL)
+    assert got == [
+        ConceptCandidate(concept="good_morning_to_you_all", span=(0, 5), matched_iv=True),
+        ConceptCandidate(concept="gud", span=(5, 6), matched_iv=False),
+    ]
 
 
 def _extendable(lex):
@@ -208,7 +207,9 @@ def _extendable(lex):
 
 
 def test_prefixes_are_concepts_cut_before_each_underscore():
-    assert _extendable(_SMALL) == {"a", "a_little", "good", "good_morning", "good_morning_to"}
+    assert _extendable(_SMALL) == {
+        "a", "a_little", "good", "good_morning", "good_morning_to", "good_morning_to_you"
+    }
     concepts = {key for key, (is_concept, _) in _SMALL.key_table.items() if is_concept}
     assert concepts == set(_SMALL.surface_map)
     assert set(_SMALL.key_table) == concepts | _extendable(_SMALL)
@@ -223,11 +224,6 @@ def test_key_table_flags_keys_that_are_both_concept_and_prefix():
     hand_built = PhonLexicon([LexiconEntry("thank_you", 0.8, "θæŋkju", "T520")])
     assert hand_built.key_table == {"thank": (False, True), "thank_you": (True, False)}
     assert PhonLexicon(list(_SMALL.entries)).key_table == _SMALL.key_table
-
-
-def test_extraction_rejects_max_n_below_one():
-    with pytest.raises(ValueError):
-        extract_from_tokens(["good"], _SMALL, max_n=0)
 
 
 def test_loaded_lexicon_extracts_like_the_compiled_one(tmp_path):

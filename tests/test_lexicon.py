@@ -59,7 +59,7 @@ def test_compile_single_entry(g2p):
     lex = compile_lexicon([("abandon", -0.84)], g2p)
     assert lex.entries[0].soundex == "A153"
     assert lex.entries[0].ipa == "æb@ndæn"
-    assert lex.entries[0].polarity_label == "Negative"
+    assert polarity_label(lex.entries[0].polarity_value) == "Negative"
 
 
 def test_compile_leaves_the_encoding_memo_alone():
@@ -163,8 +163,8 @@ def test_load_compiled_rejects_a_header_that_is_not_an_object(tmp_path, header):
 
 
 def test_surface_lookup(lexicon):
-    assert lexicon.lookup("good").polarity_value == 0.9
-    assert lexicon.lookup("nonexistent_concept_xyz") is None
+    assert lexicon.entries[lexicon.surface_map["good"]].polarity_value == 0.9
+    assert "nonexistent_concept_xyz" not in lexicon.surface_map
 
 
 def test_duplicate_report_small(g2p):

@@ -48,9 +48,6 @@ def test_config_rejects_bad_values():
     # threshold above the search ceiling would silently drop matches
     with pytest.raises(ConfigError):
         PipelineConfig(accept_distance=0.6, min_sim=0.5)
-    # extraction always tries the unigram, so no n-gram limit below one has a meaning
-    with pytest.raises(ConfigError):
-        PipelineConfig(max_ngram=0)
     # refused here rather than by top_k at the first OOV search
     for min_sim in (-0.5, 1.5, float("nan")):
         with pytest.raises(ConfigError, match=r"min_sim must be in \[0, 1\]"):

@@ -1,13 +1,17 @@
-"""``sentence_polarity`` against a plain reading of the paper's pipeline.
+"""``sentence_polarity`` and ``normalize_sentence`` against a plain reading
+of the paper's pipeline.
 
 The reference below keeps no memo and builds no record positionally:
 tokenize and substitute shorthand, take the greedy longest lexicon match
 at each token (stopwords are never OOV candidates), encode each OOV
 candidate, take its nearest entry by exhaustive scan, keep it within
 ``1 - min_sim``, accept it within ``accept_distance``, and average the
-accepted polarities.  The pipeline under test must agree on the label,
-the score and every field of every outcome, with its memos cold (a fresh
-engine and index) and warm (a pair reused across examples, run twice).
+accepted polarities; or, to normalize, walk the substituted tokens left
+to right and put each accepted match's surface form in place of its
+span.  The pipeline under test must agree on the label, the score and
+every field of every outcome, and on the rewritten sentence, with its
+memos cold (a fresh engine and index) and warm (a pair reused across
+examples, run twice).
 """
 
 import functools
@@ -27,6 +31,7 @@ from micronorm.pipeline import (
     NormalizationOutcome,
     PipelineConfig,
     SentencePolarity,
+    normalize_sentence,
     sentence_polarity,
 )
 from micronorm.resources import GATE_CORPUS, data_path, default_lexicon
@@ -51,11 +56,11 @@ def _nearest(query, variant):
     return closest_match_scan(query, _LEX, k=1, variant=variant)[0]
 
 
-def _reference_extract(tokens, max_n):
+def _reference_extract(tokens):
     stopwords = default_stopwords()
     found, i = [], 0
     while i < len(tokens):
-        for n in range(min(max_n, len(tokens) - i), 0, -1):
+        for n in range(len(tokens) - i, 0, -1):
             key = "_".join(tok.replace("'", "") for tok in tokens[i : i + n])
             if key in _LEX.surface_map:
                 found.append((key, (i, i + n), True))
@@ -85,14 +90,16 @@ def _reference_resolve(concept, span, variant, cfg):
     )
 
 
-def _reference_polarity(sentence, variant, cfg, model=None):
+def _reference_tokens(sentence):
     substitutions = default_substitutions()
-    tokens = [substitutions.get(tok, tok) for tok in tokenize(sentence)]
-    gated_as = UNGATED if model is None else model.predict(sentence)[0]
+    return [substitutions.get(tok, tok) for tok in tokenize(sentence)]
+
+
+def _reference_trace(tokens, variant, cfg, gated_as=UNGATED):
     trace = []
-    for concept, span, iv in _reference_extract(tokens, cfg.max_ngram):
+    for concept, span, iv in _reference_extract(tokens):
         if iv:
-            entry = _LEX.lookup(concept)
+            entry = _LEX.entries[_LEX.surface_map[concept]]
             trace.append(NormalizationOutcome(
                 concept, span, True, matched=entry.concept, distance=0.0,
                 polarity_value=entry.polarity_value, reason="iv",
@@ -101,6 +108,12 @@ def _reference_polarity(sentence, variant, cfg, model=None):
             trace.append(NormalizationOutcome(concept, span, False, reason="not_normalized"))
         else:
             trace.append(_reference_resolve(concept, span, variant, cfg))
+    return trace
+
+
+def _reference_polarity(sentence, variant, cfg, model=None):
+    gated_as = UNGATED if model is None else model.predict(sentence)[0]
+    trace = _reference_trace(_reference_tokens(sentence), variant, cfg, gated_as)
     accepted = [o.polarity_value for o in trace if o.accepted]
     score = sum(accepted) / len(accepted) if accepted else 0.0
     return SentencePolarity(polarity_label(score), score, tuple(trace), gated_as)
@@ -153,3 +166,35 @@ def test_pipeline_matches_the_reference(gate_model, variant, sentence):
         cold = (_fresh_engine(), build_index(_LEX, variant))
         for g2p, idx in (cold, warm, warm):
             assert sentence_polarity(sentence, _LEX, idx, g2p, cfg, model=model) == want
+
+
+def _reference_normalize(sentence, variant, cfg):
+    tokens = _reference_tokens(sentence)
+    rewrites = {
+        o.span[0]: (o.span[1], o.matched.replace("_", " "))
+        for o in _reference_trace(tokens, variant, cfg)
+        if o.accepted
+    }
+    out, i = [], 0
+    while i < len(tokens):
+        if i in rewrites:
+            i, text = rewrites[i]
+            out.append(text)
+        else:
+            out.append(tokens[i])
+            i += 1
+    return " ".join(out)
+
+
+@pytest.mark.parametrize("variant", list(DistanceVariant))
+@settings(max_examples=25, deadline=None)
+@given(sentence=_SENTENCES)
+@example(sentence="c u 2morrow")  # substitutions kept, one OOV span rewritten
+@example(sentence="gud morning absolutely fantastic hapy")  # rewrites on both sides of a two-token concept
+def test_normalize_matches_the_reference(variant, sentence):
+    cfg = PipelineConfig(variant=variant)
+    want = _reference_normalize(sentence, variant, cfg)
+    warm = _shared_pair(variant)
+    cold = (_fresh_engine(), build_index(_LEX, variant))
+    for g2p, idx in (cold, warm, warm):
+        assert normalize_sentence(sentence, _LEX, idx, g2p, cfg) == want
