@@ -434,6 +434,15 @@ def cmd_bench(args, emit):
                 "ungated_us_per_sentence": ungated_us,
                 "gated_us_per_sentence": gated_us,
                 "gate_predict_us": predict_us,
+                # counted since each memo was made, these passes included
+                "memos": {
+                    name: {"hits": info.hits, "misses": info.misses, "currsize": info.currsize}
+                    for name, info in (
+                        ("engine", g2p.memo.cache_info()),
+                        ("index", idx.memo.cache_info()),
+                        ("resolution", cfg.memo.cache_info()),
+                    )
+                },
             }
         )
     emit(out)

@@ -67,17 +67,13 @@ def default_substitutions() -> dict[str, str]:
     return load_substitutions(str(data / "substitutions.tsv"))
 
 
-def extract_concepts(
-    sentence: str | list[str],
-    lex: PhonLexicon,
-    substitutions: dict[str, str] | None = None,
-) -> list[ConceptCandidate]:
+def extract_concepts(sentence: str | list[str], lex: PhonLexicon) -> list[ConceptCandidate]:
     """Non-overlapping concept candidates tiling the sentence's tokens.
 
     ``sentence`` may also be its ``tokenize`` output, so that a caller that
     has tokenized it already need not do so again.
     """
-    return extract_from_tokens(substituted_tokens(sentence, substitutions), lex)
+    return extract_from_tokens(substituted_tokens(sentence), lex)
 
 
 def extract_from_tokens(tokens: list[str], lex: PhonLexicon) -> list[ConceptCandidate]:
@@ -117,11 +113,8 @@ def extract_from_tokens(tokens: list[str], lex: PhonLexicon) -> list[ConceptCand
     return candidates
 
 
-def substituted_tokens(
-    sentence: str | list[str], substitutions: dict[str, str] | None = None
-) -> list[str]:
+def substituted_tokens(sentence: str | list[str]) -> list[str]:
     """Tokenization (or the given ``tokenize`` output) after shorthand substitution."""
-    if substitutions is None:
-        substitutions = default_substitutions()
+    substitutions = default_substitutions()
     tokens = tokenize(sentence) if isinstance(sentence, str) else sentence
     return [substitutions.get(tok, tok) for tok in tokens]

@@ -12,11 +12,25 @@ Each candidate's resolution is a ``NormalizationOutcome`` named tuple,
 built positionally (its field order is part of the contract), which also
 records why it was or was not accepted; the sentence result, built once
 per sentence, stays a frozen dataclass (``SentencePolarity``).
+
+Microtext repeats its shorthand, so each ``PipelineConfig`` memoizes how
+an OOV concept resolves under it in ``memo``, an ``lru_cache`` of
+``MEMO_SIZE`` resolutions keyed by (concept, index, engine), with the
+config's ``k``, ``min_sim`` and ``accept_distance`` bound in.  It stores
+(accepted, entry id, distance, error, reason), so a hit reads the
+entry's concept and polarity from the lexicon passed in, as a miss does.
+A miss still calls this module's ``top_k`` and the engine's
+``encode_concept``, whose own memos it keeps.  The memo is no dataclass
+field: it stays out of the config's ``repr``, equality and hash, and
+``dataclasses.replace`` gives the new config a fresh one.  It holds the
+index and engine of its keys while the config lives, and neither refers
+back to the config, so reference counting frees all three.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache, partial
 from typing import NamedTuple
 
 from .concepts import ConceptCandidate, extract_concepts, substituted_tokens
@@ -24,6 +38,7 @@ from .errors import ConfigError, EncodingError, MicronormError
 from .g2p import G2PEngine
 from .lexicon import PhonLexicon, polarity_label
 from .match_index import MatchIndex, top_k
+from .memo import MEMO_SIZE
 from .oov_gate import IV, GateModel, tokenize
 from .similarity import DistanceVariant
 
@@ -50,6 +65,9 @@ class PipelineConfig:
             )
         if self.k < 1:
             raise ConfigError("k must be >= 1")
+        # (concept, idx, g2p) -> resolution; see the module docstring
+        memo = lru_cache(MEMO_SIZE)(partial(_resolve, self.k, self.min_sim, self.accept_distance))
+        object.__setattr__(self, "memo", memo)
 
 
 class NormalizationOutcome(NamedTuple):
@@ -96,7 +114,12 @@ def normalize_concept(
     g2p: G2PEngine,
     cfg: PipelineConfig,
 ) -> NormalizationOutcome:
-    """Resolve one candidate to a lexicon concept and polarity."""
+    """Resolve one candidate to a lexicon concept and polarity.
+
+    An OOV candidate is resolved through ``cfg.memo``, keyed by (concept,
+    ``idx``, ``g2p``): a repeated concept costs one probe, and a miss calls
+    ``g2p.encode_concept`` and ``top_k``, through their own memos.
+    """
     concept, span, matched_iv = candidate
     if matched_iv:
         entry_id = lex.surface_map.get(concept)
@@ -107,22 +130,30 @@ def normalize_concept(
             NormalizationOutcome,
             (concept, span, True, entry.concept, 0.0, entry.polarity_value, None, "iv"),
         )
+    accepted, entry_id, distance, error, reason = cfg.memo(concept, idx, g2p)
+    if accepted:
+        entry = lex.entries[entry_id]
+        return _new(
+            NormalizationOutcome,
+            (concept, span, True, entry.concept, distance, entry.polarity_value, None, reason),
+        )
+    return _new(NormalizationOutcome, (concept, span, False, None, None, None, error, reason))
+
+
+def _resolve(
+    k: int, min_sim: float, accept_distance: float, concept: str, idx: MatchIndex, g2p: G2PEngine
+) -> tuple[bool, int | None, float | None, str | None, str]:
+    """How an OOV concept resolves: (accepted, entry id, distance, error, reason)."""
+    # both names are looked up at call time, so a tracer that rebinds them sees every miss
     try:
         query = g2p.encode_concept(concept)
     except EncodingError as exc:
-        return _new(
-            NormalizationOutcome, (concept, span, False, None, None, None, str(exc), "encoding_error")
-        )
-    matches = top_k(idx, query, k=cfg.k, min_sim=cfg.min_sim)
-    if matches and matches[0].distance <= cfg.accept_distance:
+        return False, None, None, str(exc), "encoding_error"
+    matches = top_k(idx, query, k=k, min_sim=min_sim)
+    if matches and matches[0].distance <= accept_distance:
         best = matches[0]
-        entry = lex.entries[best.entry_id]
-        return _new(
-            NormalizationOutcome,
-            (concept, span, True, entry.concept, best.distance, entry.polarity_value, None, "accepted"),
-        )
-    reason = "above_accept_distance" if matches else "no_candidate"
-    return _new(NormalizationOutcome, (concept, span, False, None, None, None, None, reason))
+        return True, best.entry_id, best.distance, None, "accepted"
+    return False, None, None, None, "above_accept_distance" if matches else "no_candidate"
 
 
 def sentence_polarity(

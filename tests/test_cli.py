@@ -182,6 +182,12 @@ def test_bench_with_gate(tmp_path, capsys):
     assert (record["ungated_searches"], record["gated_searches"]) == (1427, 935)
     for key in ("ungated_us_per_sentence", "gated_us_per_sentence", "gate_predict_us"):
         assert isinstance(record[key], float) and record[key] > 0, key
+    memos = record["memos"]
+    assert set(memos) == {"engine", "index", "resolution"}
+    assert all(set(counts) == {"hits", "misses", "currsize"} for counts in memos.values())
+    # the corpus's 203 distinct OOV concepts, each resolved once and then read back
+    assert memos["resolution"]["misses"] == memos["resolution"]["currsize"] == 203
+    assert memos["resolution"]["hits"] > 1427
 
 
 def test_bench_times_g2p_through_the_rules(capsys, monkeypatch):

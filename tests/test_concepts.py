@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from micronorm import concepts
 from micronorm.concepts import (
     ConceptCandidate,
     default_stopwords,
@@ -102,10 +103,10 @@ def test_default_stopwords_nontrivial():
     assert len(sw) >= 50
 
 
-def _oracle_extract(sentence, lex, substitutions=None):
+def _oracle_extract(sentence, lex):
     """Extraction by trying every n-gram key, from the rest of the sentence down to one token."""
     stopwords = default_stopwords()
-    tokens = substituted_tokens(sentence, substitutions)
+    tokens = substituted_tokens(sentence)
 
     def key(toks):
         return "_".join(tok.replace("'", "") for tok in toks)
@@ -175,12 +176,16 @@ _ODD_SUBS = {"gm": "good_morning", "lb": "little_bit", "al": "a_little", "zz": "
 )
 def test_prefix_walk_matches_oracle_with_odd_substitutions(words):
     sentence = " ".join(words)
-    got = extract_concepts(sentence, _SMALL, substitutions=_ODD_SUBS)
-    assert got == _oracle_extract(sentence, _SMALL, _ODD_SUBS)
+    # patched in the body, as hypothesis refuses function-scoped fixtures
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(concepts, "default_substitutions", lambda: _ODD_SUBS)
+        got = extract_concepts(sentence, _SMALL)
+        assert got == _oracle_extract(sentence, _SMALL)
 
 
-def test_substituted_underscore_value_joins_a_longer_concept():
-    got = extract_concepts("gm 2 u", _SMALL, substitutions=_ODD_SUBS)
+def test_substituted_underscore_value_joins_a_longer_concept(monkeypatch):
+    monkeypatch.setattr(concepts, "default_substitutions", lambda: _ODD_SUBS)
+    got = extract_concepts("gm 2 u", _SMALL)
     assert got == [ConceptCandidate(concept="good_morning_to_you", span=(0, 3), matched_iv=True)]
 
 

@@ -1,4 +1,6 @@
 import dataclasses
+import gc
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +10,7 @@ from micronorm.errors import ConfigError, MicronormError
 from micronorm import concepts, oov_gate, pipeline
 from micronorm.g2p import G2PEngine, default_engine
 from micronorm.match_index import build_index
+from micronorm.memo import MEMO_SIZE
 from micronorm.oov_gate import IV, LR_KIND, NB_KIND, train
 from micronorm.pipeline import (
     SEARCH_REASONS,
@@ -85,8 +88,9 @@ def test_oov_candidate_searches(lexicon, g2p, index, cfg):
 
 
 def test_search_reasons_count_the_searches(monkeypatch, lexicon, g2p, index, gate_corpus):
-    # the trace is the only record of the searches, so its reasons must
-    # count exactly the top_k calls, gated or not
+    # the trace is the only record of the searches, so its reasons must count
+    # them, gated or not; a config's memo searches each distinct OOV concept
+    # once, through the module's top_k, and a second pass searches nothing
     model = train(gate_corpus, kind=LR_KIND, seed=42)
     calls = []
     original = pipeline.top_k
@@ -96,17 +100,70 @@ def test_search_reasons_count_the_searches(monkeypatch, lexicon, g2p, index, gat
         return original(*args, **kwargs)
 
     monkeypatch.setattr(pipeline, "top_k", counting)
-    for cfg, gate in ((PipelineConfig(), None), (PipelineConfig(gate_enabled=True), model)):
-        calls.clear()
-        searches = 0
-        for text, _ in gate_corpus:
-            searches += _searches(sentence_polarity(text, lexicon, index, g2p, cfg, model=gate).trace)
-        assert searches == len(calls) > 0
+    # this model trains on the whole corpus; bench's 935 gated searches come
+    # from gate-train's model, which holds out a test split
+    for cfg, gate, expected in ((PipelineConfig(), None, 1427), (PipelineConfig(gate_enabled=True), model, 945)):
+        for first_pass in (True, False):
+            calls.clear()
+            searches, searched = 0, set()
+            for text, _ in gate_corpus:
+                trace = sentence_polarity(text, lexicon, index, g2p, cfg, model=gate).trace
+                searches += _searches(trace)
+                searched |= {o.original for o in trace if o.reason in SEARCH_REASONS}
+            assert searches == expected
+            assert len(calls) == (len(searched) if first_pass else 0)
+        assert 0 < len(searched) < expected
     tight = PipelineConfig(accept_distance=0.1, min_sim=0.7)
     calls.clear()
     trace = sentence_polarity("gud 2moro qqqzzz", lexicon, index, g2p, tight).trace
     assert {"above_accept_distance", "no_candidate"} <= {o.reason for o in trace}
     assert _searches(trace) == len(calls)
+
+
+def test_resolution_memo_is_bounded(lexicon, g2p, index):
+    cfg = PipelineConfig()
+    for i, entry in enumerate(lexicon.entries[: MEMO_SIZE + 10]):
+        normalize_concept(ConceptCandidate(entry.concept, (i, i + 1), False), lexicon, index, g2p, cfg)
+    info = cfg.memo.cache_info()
+    assert (info.misses, info.currsize) == (MEMO_SIZE + 10, MEMO_SIZE)
+
+
+def test_resolution_memo_is_no_config_field():
+    cfg = PipelineConfig(k=3)
+    assert "memo" not in {f.name for f in dataclasses.fields(PipelineConfig)}
+    assert "memo" not in repr(cfg) and "memo" not in dataclasses.asdict(cfg)
+    twin = PipelineConfig(k=3)
+    assert twin == cfg and hash(twin) == hash(cfg) and twin.memo is not cfg.memo
+    assert dataclasses.replace(cfg).memo is not cfg.memo
+
+
+def test_dropping_the_config_frees_index_and_engine(lexicon):
+    # the memo holds the index and engine of its keys; neither refers back to
+    # the config, so reference counting alone frees all three
+    gc.disable()
+    try:
+        engine = G2PEngine(dict(default_engine().exceptions), default_engine().rules)
+        idx = build_index(lexicon)
+        cfg = PipelineConfig()
+        sentence_polarity("gud mornin c u 2morrow hgh", lexicon, idx, engine, cfg)
+        assert cfg.memo.cache_info().currsize > 0
+        refs = weakref.ref(idx), weakref.ref(engine)
+        del idx, engine
+        assert all(ref() is not None for ref in refs)  # the config keeps them
+        del cfg
+        assert all(ref() is None for ref in refs)
+    finally:
+        gc.enable()
+
+
+def test_encoding_error_outcome_same_cold_and_warm(lexicon, g2p, index):
+    # "hgh" has every letter silent, so it cannot be encoded
+    cfg = PipelineConfig()
+    cand = ConceptCandidate(concept="hgh", span=(0, 1), matched_iv=False)
+    cold = normalize_concept(cand, lexicon, index, g2p, cfg)
+    warm = normalize_concept(cand, lexicon, index, g2p, cfg)
+    assert cold.reason == "encoding_error" and cold.error
+    assert warm == cold and cfg.memo.cache_info().hits == 1
 
 
 def test_threshold_rejects_far_matches(lexicon, g2p, index):

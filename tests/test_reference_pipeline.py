@@ -10,8 +10,10 @@ accepted polarities; or, to normalize, walk the substituted tokens left
 to right and put each accepted match's surface form in place of its
 span.  The pipeline under test must agree on the label, the score and
 every field of every outcome, and on the rewritten sentence, with its
-memos cold (a fresh engine and index) and warm (a pair reused across
-examples, run twice).
+memos cold (a fresh engine, index and config) and warm (one engine and
+index per variant and one config per variant and gate, reused across
+examples, run twice), so that resolutions memoized for earlier examples
+are checked too.
 """
 
 import functools
@@ -48,6 +50,11 @@ def _fresh_engine() -> G2PEngine:
 @functools.cache
 def _shared_pair(variant):
     return _fresh_engine(), build_index(_LEX, variant)
+
+
+@functools.cache
+def _shared_config(variant, gated):
+    return PipelineConfig(variant=variant, gate_enabled=gated)
 
 
 @functools.cache
@@ -159,13 +166,13 @@ def gate_model():
 @given(sentence=_SENTENCES)
 @example(sentence="the road is seriously deadly honestly")  # gated as IV, with OOV candidates
 def test_pipeline_matches_the_reference(gate_model, variant, sentence):
-    warm = _shared_pair(variant)
     for model in (None, gate_model):
         cfg = PipelineConfig(variant=variant, gate_enabled=model is not None)
         want = _reference_polarity(sentence, variant, cfg, model)
-        cold = (_fresh_engine(), build_index(_LEX, variant))
-        for g2p, idx in (cold, warm, warm):
-            assert sentence_polarity(sentence, _LEX, idx, g2p, cfg, model=model) == want
+        cold = (_fresh_engine(), build_index(_LEX, variant), cfg)
+        warm = (*_shared_pair(variant), _shared_config(variant, model is not None))
+        for g2p, idx, c in (cold, warm, warm):
+            assert sentence_polarity(sentence, _LEX, idx, g2p, c, model=model) == want
 
 
 def _reference_normalize(sentence, variant, cfg):
@@ -194,7 +201,24 @@ def _reference_normalize(sentence, variant, cfg):
 def test_normalize_matches_the_reference(variant, sentence):
     cfg = PipelineConfig(variant=variant)
     want = _reference_normalize(sentence, variant, cfg)
-    warm = _shared_pair(variant)
-    cold = (_fresh_engine(), build_index(_LEX, variant))
-    for g2p, idx in (cold, warm, warm):
-        assert normalize_sentence(sentence, _LEX, idx, g2p, cfg) == want
+    cold = (_fresh_engine(), build_index(_LEX, variant), cfg)
+    warm = (*_shared_pair(variant), _shared_config(variant, False))
+    for g2p, idx, c in (cold, warm, warm):
+        assert normalize_sentence(sentence, _LEX, idx, g2p, c) == want
+
+
+def test_configs_sharing_index_and_engine_each_match_the_reference():
+    # each config memoizes its own resolutions, so one config's accept_distance
+    # or min_sim never decides another's outcome for the same concept
+    variant = DistanceVariant.CHAR_SET
+    g2p, idx = _fresh_engine(), build_index(_LEX, variant)
+    configs = [PipelineConfig(), PipelineConfig(accept_distance=0.2), PipelineConfig(accept_distance=0.3, min_sim=0.7)]
+    sentences = ["gud mornin", "c u 2morrow hapy", "i wil kil u", "gr8 x hgh", "gud hapy 2morrow"]
+    outcomes = set()
+    for sentence in sentences * 2:
+        for cfg in configs:
+            got = sentence_polarity(sentence, _LEX, idx, g2p, cfg)
+            assert got == _reference_polarity(sentence, variant, cfg)
+            outcomes |= {(o.original, o.reason) for o in got.trace}
+    # the configs disagree on some concept, so a memo shared among them would show
+    assert {("gud", "accepted"), ("gud", "above_accept_distance")} <= outcomes
