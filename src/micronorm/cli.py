@@ -204,8 +204,11 @@ def cmd_compile(args, emit):
 
 
 def cmd_encode(args, emit):
+    if args.concept is not None and not args.concept.strip():
+        print("micronorm: --concept must not be empty", file=sys.stderr)
+        return EXIT_USAGE
     g2p = _build_g2p(args)
-    for concept in _input_lines(args.concept or None):
+    for concept in _input_lines(args.concept):
         emit(
             {
                 "concept": concept,
@@ -310,7 +313,7 @@ def cmd_polarity(args, emit):
 
 def cmd_report_duplicates(args, emit):
     g2p = _build_g2p(args)
-    # the report reads the stored codes only, so the search variant is moot
+    # the report reads concepts and IPA codes only, so the search variant is moot
     lex = _load_lexicon(args, g2p, DistanceVariant.CHAR_SET)
     schemes = ["soundex", "ipa"] if args.scheme == "both" else [args.scheme]
     for scheme in schemes:

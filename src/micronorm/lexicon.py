@@ -1,9 +1,12 @@
 """Concept-polarity lexicon: loading, phonetic compilation, persistence.
 
 A raw lexicon is a two-column TSV of concept and polarity value in
-[-1, 1].  Compiling it attaches a Soundex code and an IPA encoding to
-every concept and builds the lookup structures used by matching.  The
-compiled form round-trips through a JSON-lines file.
+[-1, 1].  Compiling it attaches an IPA encoding to every concept, the
+only code search reads, and builds the lookup structures used by
+matching.  The compiled form round-trips through a JSON-lines file.
+Soundex, the baseline of the collision report, is computed where it is
+read: by ``encode``, by ``duplicate_report`` and by ``save_compiled``,
+which writes it to each row for readers of the file.
 """
 
 from __future__ import annotations
@@ -36,12 +39,6 @@ def canonicalize_concept(raw: str) -> str:
     return surface
 
 
-def validate_concept(surface: str) -> str:
-    if not isinstance(surface, str) or not _CONCEPT_RE.fullmatch(surface):
-        raise LexiconError(f"invalid concept surface {surface!r}")
-    return surface
-
-
 def polarity_label(value: float) -> str:
     if value > 0:
         return POSITIVE
@@ -55,7 +52,6 @@ class LexiconEntry:
     concept: str
     polarity_value: float
     ipa: str
-    soundex: str
 
 
 @dataclass
@@ -98,23 +94,26 @@ class DuplicateReport:
 
 def _checked_row(path, lineno: int, surface, polarity, seen: dict[str, int]) -> tuple[str, float]:
     """A valid concept and its polarity, a finite number in [-1, 1]; ``seen``
-    maps each concept read so far to its line, and a repeat is refused."""
-    try:
-        validate_concept(surface)
-    except LexiconError as exc:
-        raise LexiconError(f"{path}:{lineno}: {exc}") from None
+    maps each concept read so far to its line, and a repeat is refused.  Errors
+    name the row as ``path:lineno``, or as ``row lineno`` when ``path`` is None."""
+    if not isinstance(surface, str) or not _CONCEPT_RE.fullmatch(surface):
+        raise _row_error(path, lineno, f"invalid concept surface {surface!r}")
     try:
         value = float(polarity)
     except (TypeError, ValueError):
-        raise LexiconError(f"{path}:{lineno}: bad polarity {polarity!r}") from None
+        raise _row_error(path, lineno, f"bad polarity {polarity!r}") from None
     if not -1.0 <= value <= 1.0:  # also refuses nan
-        raise LexiconError(f"{path}:{lineno}: polarity {value} outside [-1, 1]")
+        raise _row_error(path, lineno, f"polarity {value} outside [-1, 1]")
     if surface in seen:
-        raise LexiconError(
-            f"{path}:{lineno}: duplicate concept {surface!r} (first at line {seen[surface]})"
-        )
+        first = f"{'row' if path is None else 'line'} {seen[surface]}"
+        raise _row_error(path, lineno, f"duplicate concept {surface!r} (first at {first})")
     seen[surface] = lineno
     return surface, value
+
+
+def _row_error(path, lineno: int, message: str) -> LexiconError:
+    where = f"row {lineno}" if path is None else f"{path}:{lineno}"
+    return LexiconError(f"{where}: {message}")
 
 
 def load_raw_lexicon(path) -> list[tuple[str, float]]:
@@ -140,26 +139,16 @@ def compile_lexicon(
     g2p: G2PEngine,
     variant: DistanceVariant = DistanceVariant.CHAR_SET,
 ) -> PhonLexicon:
-    """Attach phonetic encodings to every concept and build lookups."""
+    """Check each row as the loaders do, attach its IPA encoding, build lookups."""
     entries: list[LexiconEntry] = []
-    seen: set[str] = set()
-    for surface, value in raw:
-        surface = validate_concept(surface)
-        if surface in seen:
-            raise LexiconError(f"duplicate concept {surface!r}")
-        seen.add(surface)
+    seen: dict[str, int] = {}
+    for row, (surface, polarity) in enumerate(raw, start=1):
+        surface, value = _checked_row(None, row, surface, polarity, seen)
         try:
             ipa = g2p.encode_unmemoized(surface)  # each concept once; a memo would only churn
         except Exception as exc:
             raise LexiconError(f"cannot encode concept {surface!r}: {exc}") from exc
-        entries.append(
-            LexiconEntry(
-                concept=surface,
-                polarity_value=value,
-                ipa=ipa,
-                soundex=soundex_concept(surface),
-            )
-        )
+        entries.append(LexiconEntry(surface, value, ipa))
     if not entries:
         raise LexiconError("cannot compile an empty lexicon")
     return PhonLexicon(entries=entries, variant=variant)
@@ -170,7 +159,8 @@ def save_compiled(lex: PhonLexicon, path) -> None:
         header = {"format": FORMAT_NAME, "version": FORMAT_VERSION, "variant": lex.variant.value}
         fh.write(json.dumps(header, ensure_ascii=False) + "\n")
         for e in lex.entries:
-            row = {"concept": e.concept, "polarity": e.polarity_value, "ipa": e.ipa, "soundex": e.soundex}
+            soundex = soundex_concept(e.concept)
+            row = {"concept": e.concept, "polarity": e.polarity_value, "ipa": e.ipa, "soundex": soundex}
             fh.write(json.dumps(row, ensure_ascii=False) + "\n")
 
 
@@ -201,14 +191,13 @@ def load_compiled(path) -> PhonLexicon:
                 continue
             try:
                 row = json.loads(line)
-                concept, ipa, soundex = row["concept"], row["ipa"], row["soundex"]
-                polarity = row["polarity"]
+                concept, ipa, polarity = row["concept"], row["ipa"], row["polarity"]
             except (json.JSONDecodeError, KeyError, TypeError):
                 raise LexiconError(f"{path}:{lineno}: malformed entry") from None
             concept, value = _checked_row(path, lineno, concept, polarity, seen)
             if not isinstance(ipa, str) or not ipa:
                 raise LexiconError(f"{path}:{lineno}: ipa must be a non-empty string")
-            entries.append(LexiconEntry(concept, value, ipa, soundex))
+            entries.append(LexiconEntry(concept, value, ipa))
     if not entries:
         raise LexiconError(f"{path}: compiled lexicon has no entries")
     return PhonLexicon(entries=entries, variant=variant)
@@ -226,7 +215,7 @@ def duplicate_report(lex: PhonLexicon, scheme: str, top_n: int = 10) -> Duplicat
         raise LexiconError(f"unknown encoding scheme {scheme!r}")
     groups: dict[str, list[str]] = {}
     for e in lex.entries:
-        code = e.soundex if scheme_norm == "soundex" else e.ipa
+        code = soundex_concept(e.concept) if scheme_norm == "soundex" else e.ipa
         groups.setdefault(code, []).append(e.concept)
     collisions = {code: members for code, members in groups.items() if len(members) >= 2}
     top = sorted(collisions.items(), key=lambda kv: (-len(kv[1]), kv[0]))[:top_n]

@@ -14,7 +14,7 @@ from micronorm.cli import build_parser, run
 from micronorm.g2p import G2PEngine
 from micronorm.lexicon import load_compiled
 from micronorm.match_index import top_k
-from micronorm.resources import data_path
+from micronorm.resources import SAMPLE_LEXICON, data_path
 from micronorm.similarity import DistanceVariant, closest_match_scan, dice_distance
 
 
@@ -47,6 +47,16 @@ def test_lexicon_with_a_leading_digit_concept(tmp_path, capsys):
     assert run(["report-duplicates", "--lexicon", str(raw), "--scheme", "soundex"]) == 0
     (report,) = _json_lines(capsys)
     assert report["num_concepts"] == 2
+
+
+@pytest.mark.parametrize("concept", ["", "   "])
+def test_exit_usage_on_empty_concept(capsys, monkeypatch, concept):
+    # an empty --concept is no request to read stdin
+    monkeypatch.setattr("sys.stdin", io.StringIO("gud\n"))
+    assert run(["encode", "--concept", concept]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "micronorm: --concept must not be empty\n"
 
 
 def test_encode_stdin_stream(capsys, monkeypatch):
@@ -165,6 +175,38 @@ def test_eval_stdout_bytes_pinned(capsys, flags, digest):
     assert run(["eval", *flags]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+# SHA-256 of the compiled bundled lexicon per variant, and of `report-duplicates`
+# stdout on it; a compiled file still carries each concept's Soundex code
+COMPILE_SHA256 = {
+    "charset": "8c2d86a9131dcfa5a08f7450c6e8b5358a1698b8152907412bb0f440d119b914",
+    "bigram": "850f8547e28dad43f9efd319cc55d258f8914f812fe40365fa3ecb34894c05c1",
+}
+REPORT_DUPLICATES_SHA256 = "bf48e1748d0266130f8ba130c6a5e50087a7cc5be6d02782cc3872a190c9dad2"
+
+
+@pytest.mark.parametrize("variant", sorted(COMPILE_SHA256))
+def test_compile_bytes_pinned(tmp_path, capsys, variant):
+    out = tmp_path / "lex.jsonl"
+    argv = ["compile", "--input", data_path(SAMPLE_LEXICON), "--output", str(out), "--variant", variant]
+    assert run(argv) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == COMPILE_SHA256[variant]
+
+
+def test_report_duplicates_bytes_pinned(tmp_path, capsys):
+    compiled = tmp_path / "lex.jsonl"
+    assert run(["compile", "--input", data_path(SAMPLE_LEXICON), "--output", str(compiled)]) == 0
+    # the report computes Soundex from each concept, so a stored code is never read
+    altered = tmp_path / "altered.jsonl"
+    header, *rows = compiled.read_text(encoding="utf-8").splitlines(keepends=True)
+    rows = [json.dumps({**json.loads(r), "soundex": "Z999"}, ensure_ascii=False) + "\n" for r in rows]
+    altered.write_text(header + "".join(rows), encoding="utf-8")
+    capsys.readouterr()
+    for lexicon in (data_path(SAMPLE_LEXICON), compiled, altered):
+        assert run(["report-duplicates", "--lexicon", str(lexicon)]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == REPORT_DUPLICATES_SHA256, lexicon
 
 
 def test_bench_with_gate(tmp_path, capsys):

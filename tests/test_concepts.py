@@ -226,7 +226,7 @@ def test_key_table_flags_keys_that_are_both_concept_and_prefix():
     assert _SMALL.key_table["good"] == (False, True)
     assert _SMALL.key_table["a_little_bit"] == (True, False)
     # built in __post_init__, so a lexicon built by hand has it too
-    hand_built = PhonLexicon([LexiconEntry("thank_you", 0.8, "θæŋkju", "T520")])
+    hand_built = PhonLexicon([LexiconEntry("thank_you", 0.8, "θæŋkju")])
     assert hand_built.key_table == {"thank": (False, True), "thank_you": (True, False)}
     assert PhonLexicon(list(_SMALL.entries)).key_table == _SMALL.key_table
 

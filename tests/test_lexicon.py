@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from micronorm.errors import LexiconError
 from micronorm.g2p import G2PEngine, default_engine
 from micronorm.lexicon import (
+    LexiconEntry,
     canonicalize_concept,
     compile_lexicon,
     duplicate_report,
@@ -14,6 +16,7 @@ from micronorm.lexicon import (
     save_compiled,
 )
 from micronorm.similarity import DistanceVariant
+from micronorm.soundex import soundex_concept
 
 
 @pytest.fixture()
@@ -57,7 +60,8 @@ def test_load_raw_errors_carry_line_numbers(tmp_path):
 
 def test_compile_single_entry(g2p):
     lex = compile_lexicon([("abandon", -0.84)], g2p)
-    assert lex.entries[0].soundex == "A153"
+    # search reads the IPA encoding only; Soundex is computed where it is read
+    assert [f.name for f in dataclasses.fields(LexiconEntry)] == ["concept", "polarity_value", "ipa"]
     assert lex.entries[0].ipa == "æb@ndæn"
     assert polarity_label(lex.entries[0].polarity_value) == "Negative"
 
@@ -73,7 +77,8 @@ def test_compile_leaves_the_encoding_memo_alone():
 
 def test_compile_allows_code_collisions(g2p):
     lex = compile_lexicon([("good", 0.9), ("gud", 0.1)], g2p)
-    assert [e.soundex for e in lex.entries] == ["G300", "G300"]
+    assert [soundex_concept(e.concept) for e in lex.entries] == ["G300", "G300"]
+    assert duplicate_report(lex, "soundex").top_collisions == [("G300", ["good", "gud"])]
 
 
 def test_compile_rejects_empty_and_duplicates(g2p):
@@ -81,6 +86,28 @@ def test_compile_rejects_empty_and_duplicates(g2p):
         compile_lexicon([], g2p)
     with pytest.raises(LexiconError):
         compile_lexicon([("good", 0.9), ("good", 0.8)], g2p)
+
+
+@pytest.mark.parametrize(
+    "row,message",
+    [
+        (("bad", 5.0), "row 2: polarity 5.0 outside [-1, 1]"),
+        (("bad", float("nan")), "row 2: polarity nan outside [-1, 1]"),
+        (("bad", "x"), "row 2: bad polarity 'x'"),
+        ((7, -0.5), "row 2: invalid concept surface 7"),
+        (("good", -0.5), "row 2: duplicate concept 'good' (first at row 1)"),
+    ],
+    ids=["polarity_above_one", "polarity_nan", "polarity_not_a_number", "concept_not_a_string", "duplicate"],
+)
+def test_compile_checks_rows_like_the_loaders(g2p, row, message):
+    with pytest.raises(LexiconError) as err:
+        compile_lexicon([("good", 0.9), row, ("fine", 0.1)], g2p)
+    assert str(err.value) == message
+
+
+def test_compile_stores_the_polarity_as_a_float(g2p):
+    (entry,) = compile_lexicon([("good", "0.5")], g2p).entries
+    assert entry.polarity_value == 0.5 and type(entry.polarity_value) is float
 
 
 def test_round_trip(tmp_path, g2p):

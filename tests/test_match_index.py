@@ -117,7 +117,7 @@ def test_short_entries_meet_the_floor(lexicon):
     # exactly 0.5 from it
     ipas = [e.ipa for e in lexicon.entries[:300]] + ["æ", "b", "k", "I"]
     lex = PhonLexicon(
-        [LexiconEntry(f"c{i}", 0.0, ipa, "") for i, ipa in enumerate(ipas)],
+        [LexiconEntry(f"c{i}", 0.0, ipa) for i, ipa in enumerate(ipas)],
         DistanceVariant.BIGRAM,
     )
     queries = ["æbk", "bæk", "kIæ", "æb", "Ik", "æ", "b" + _FRESH[:2], "kæbIt"]
@@ -138,7 +138,7 @@ def test_accumulator_sized_by_the_widest_entry_set(lexicon):
     queries = [wide, wide[1:], wide[:255], wide[::2] + "gUd", "gUd"]
     for variant in DistanceVariant:
         lex = PhonLexicon(
-            [LexiconEntry(f"c{i}", 0.0, ipa, "") for i, ipa in enumerate(ipas)], variant
+            [LexiconEntry(f"c{i}", 0.0, ipa) for i, ipa in enumerate(ipas)], variant
         )
         idx = build_index(lex, variant)
         assert idx.scores.acc == np.uint16
