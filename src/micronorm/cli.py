@@ -94,6 +94,12 @@ def _fraction(text: str) -> float:
     return value
 
 
+def _non_blank(text: str) -> str:
+    if not text.strip():
+        raise argparse.ArgumentTypeError("must not be empty")
+    return text
+
+
 def _env(name: str) -> str | None:
     return os.environ.get(f"MICRONORM_{name}")
 
@@ -204,16 +210,14 @@ def cmd_compile(args, emit):
 
 
 def cmd_encode(args, emit):
-    if args.concept is not None and not args.concept.strip():
-        print("micronorm: --concept must not be empty", file=sys.stderr)
-        return EXIT_USAGE
     g2p = _build_g2p(args)
     for concept in _input_lines(args.concept):
         emit(
             {
                 "concept": concept,
-                "soundex": soundex_concept(concept),
+                # G2P first: it names the fault where Soundex would not
                 "ipa": g2p.encode_concept(concept),
+                "soundex": soundex_concept(concept),
             }
         )
     return EXIT_OK
@@ -226,9 +230,6 @@ def cmd_distance(args, emit):
 
 
 def cmd_match(args, emit):
-    if not args.query.strip():
-        print("micronorm: --query must not be empty", file=sys.stderr)
-        return EXIT_USAGE
     g2p = _build_g2p(args)
     lex = _load_lexicon(args, g2p, DistanceVariant(args.variant))
     query = g2p.encode_concept(args.query)
@@ -378,7 +379,7 @@ def cmd_bench(args, emit):
     t0 = time.perf_counter()
     for tok in tokens:
         try:
-            rules_only.encode_unmemoized(tok)
+            rules_only.encode_concept(tok)
         except EncodingError:  # a --rules file may not cover the lexicon's letters
             pass
     g2p_s = time.perf_counter() - t0
@@ -441,7 +442,6 @@ def cmd_bench(args, emit):
                 "memos": {
                     name: {"hits": info.hits, "misses": info.misses, "currsize": info.currsize}
                     for name, info in (
-                        ("engine", g2p.memo.cache_info()),
                         ("index", idx.memo.cache_info()),
                         ("resolution", cfg.memo.cache_info()),
                     )
@@ -503,15 +503,15 @@ def build_parser() -> _Parser:
     p.add_argument("--output", required=True)
 
     p = command("encode", cmd_encode, "Soundex + IPA encodings of concepts", _G2P + _FORMAT)
-    p.add_argument("--concept", help="single concept; otherwise stream stdin")
+    p.add_argument("--concept", type=_non_blank, help="single concept; otherwise stream stdin")
 
     p = command("distance", cmd_distance, "Dice distance between two strings", _VARIANT + _FORMAT)
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
+    p.add_argument("--a", type=_non_blank, required=True)
+    p.add_argument("--b", type=_non_blank, required=True)
 
     p = command("match", cmd_match, "phonetic top-k search for one concept",
                 _LEXICON + _SEARCH + _K + _FORMAT)
-    p.add_argument("--query", required=True)
+    p.add_argument("--query", type=_non_blank, required=True)
 
     p = command("gate-train", cmd_gate_train, "train the OOV/IV gate classifier", _SEED + _FORMAT)
     p.add_argument("--corpus", required=True)

@@ -22,23 +22,17 @@ where ``pattern`` is a literal grapheme string and the contexts may use
 
 The first rule whose pattern and contexts match wins and consumes its
 pattern.  An empty output makes the grapheme silent.
-
-Each engine memoizes ``encode_concept`` in its own ``lru_cache`` of
-``MEMO_SIZE`` encodings, which reaches the engine only through a weak
-reference, so an engine is freed by reference counting alone.
 """
 
 from __future__ import annotations
 
 import re
-import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 from types import MappingProxyType
 
 from .errors import EncodingError
-from .memo import MEMO_SIZE
 
 _CONSONANTS = "[bcdfghjklmnpqrstvwxz]"
 _CLASSES = {
@@ -128,8 +122,8 @@ class G2PEngine:
     """Grapheme-to-phoneme transducer over read-only tables.
 
     The exception and digit tables are mapping proxies and the rules a
-    tuple, so ``encode_concept`` can memoize its encodings per engine
-    without any of them going stale.  Digits are spoken as in ``DIGIT_MAP``.
+    tuple, all copied from the caller's, so an encoding depends on the
+    concept alone.  Digits are spoken as in ``DIGIT_MAP``.
     """
 
     def __init__(self, exceptions: dict[str, str], rules: list[RewriteRule]):
@@ -155,8 +149,6 @@ class G2PEngine:
             for key in (p[:2],) if len(p) > 1 else _KEYS_OF.get(p, ()):
                 table[key] = table.get(key, ()) + (entry,)
         self._dispatch = MappingProxyType(table)
-        encode = weakref.WeakMethod(self.encode_unmemoized)
-        self.memo = lru_cache(MEMO_SIZE)(lambda surface: encode()(surface))  # surface -> encoding
 
     def _apply_rules(self, run: str) -> str:
         out: list[str] = []
@@ -198,19 +190,11 @@ class G2PEngine:
         return encoded
 
     def encode_concept(self, surface: str) -> str:
-        """Encode an underscore-joined concept, one segment per token.
-
-        Encodings are memoized in ``memo``; a concept that cannot be
-        encoded is not, so it raises ``EncodingError`` on every call.
-        """
-        return self.memo(surface)
-
-    def encode_unmemoized(self, surface: str) -> str:
-        """Encode like ``encode_concept`` but bypass the memo.
-
-        For concepts encoded once each, such as a lexicon being compiled.
-        """
-        return "_".join(self.encode_token(tok) for tok in surface.split("_"))
+        """Encode an underscore-joined concept, one segment per token."""
+        tokens = surface.split("_")
+        if "" in tokens:
+            raise EncodingError(f"concept {surface!r} has an empty segment")
+        return "_".join(self.encode_token(tok) for tok in tokens)
 
 
 def load_exceptions(path) -> dict[str, str]:

@@ -145,7 +145,7 @@ def compile_lexicon(
     for row, (surface, polarity) in enumerate(raw, start=1):
         surface, value = _checked_row(None, row, surface, polarity, seen)
         try:
-            ipa = g2p.encode_unmemoized(surface)  # each concept once; a memo would only churn
+            ipa = g2p.encode_concept(surface)
         except Exception as exc:
             raise LexiconError(f"cannot encode concept {surface!r}: {exc}") from exc
         entries.append(LexiconEntry(surface, value, ipa))

@@ -19,8 +19,8 @@ an OOV concept resolves under it in ``memo``, an ``lru_cache`` of
 config's ``k``, ``min_sim`` and ``accept_distance`` bound in.  It stores
 (accepted, entry id, distance, error, reason), so a hit reads the
 entry's concept and polarity from the lexicon passed in, as a miss does.
-A miss still calls this module's ``top_k`` and the engine's
-``encode_concept``, whose own memos it keeps.  The memo is no dataclass
+A miss still calls the engine's ``encode_concept`` and this module's
+``top_k``, which keeps the index's own memo.  The memo is no dataclass
 field: it stays out of the config's ``repr``, equality and hash, and
 ``dataclasses.replace`` gives the new config a fresh one.  It holds the
 index and engine of its keys while the config lives, and neither refers
@@ -118,7 +118,7 @@ def normalize_concept(
 
     An OOV candidate is resolved through ``cfg.memo``, keyed by (concept,
     ``idx``, ``g2p``): a repeated concept costs one probe, and a miss calls
-    ``g2p.encode_concept`` and ``top_k``, through their own memos.
+    ``g2p.encode_concept`` and ``top_k``, through the index's memo.
     """
     concept, span, matched_iv = candidate
     if matched_iv:

@@ -14,7 +14,7 @@ from micronorm.cli import build_parser, run
 from micronorm.g2p import G2PEngine
 from micronorm.lexicon import load_compiled
 from micronorm.match_index import top_k
-from micronorm.resources import SAMPLE_LEXICON, data_path
+from micronorm.resources import SAMPLE_LEXICON, data_path, default_lexicon
 from micronorm.similarity import DistanceVariant, closest_match_scan, dice_distance
 
 
@@ -56,7 +56,17 @@ def test_exit_usage_on_empty_concept(capsys, monkeypatch, concept):
     assert run(["encode", "--concept", concept]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "micronorm: --concept must not be empty\n"
+    assert captured.err == "micronorm: argument --concept: must not be empty\n"
+
+
+def test_encode_stream_matches_the_compiled_lexicon(capsys, monkeypatch):
+    # compile and encode share one encoder, so every bundled concept
+    # streamed through encode gets the IPA its lexicon entry holds
+    entries = default_lexicon().entries
+    monkeypatch.setattr("sys.stdin", io.StringIO("".join(e.concept + "\n" for e in entries)))
+    assert run(["encode"]) == 0
+    records = _json_lines(capsys)
+    assert [(r["concept"], r["ipa"]) for r in records] == [(e.concept, e.ipa) for e in entries]
 
 
 def test_encode_stdin_stream(capsys, monkeypatch):
@@ -225,7 +235,7 @@ def test_bench_with_gate(tmp_path, capsys):
     for key in ("ungated_us_per_sentence", "gated_us_per_sentence", "gate_predict_us"):
         assert isinstance(record[key], float) and record[key] > 0, key
     memos = record["memos"]
-    assert set(memos) == {"engine", "index", "resolution"}
+    assert set(memos) == {"index", "resolution"}
     assert all(set(counts) == {"hits", "misses", "currsize"} for counts in memos.values())
     # the corpus's 203 distinct OOV concepts, each resolved once and then read back
     assert memos["resolution"]["misses"] == memos["resolution"]["currsize"] == 203
@@ -238,9 +248,9 @@ def test_bench_times_g2p_through_the_rules(capsys, monkeypatch):
     tables = []
 
     class Spy(G2PEngine):
-        def encode_unmemoized(self, surface):
+        def encode_concept(self, surface):
             tables.append(len(self.exceptions))
-            return super().encode_unmemoized(surface)
+            return super().encode_concept(surface)
 
     monkeypatch.setattr("micronorm.cli.G2PEngine", Spy)
     assert run(["bench", "--queries", "1"]) == 0
@@ -410,7 +420,43 @@ def test_exit_usage_on_empty_query(capsys, query):
     assert run(["match", "--query", query]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "micronorm: --query must not be empty\n"
+    assert captured.err == "micronorm: argument --query: must not be empty\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--a", "", "--b", "x"],
+        ["--a", "x", "--b", ""],
+        ["--a", "  ", "--b", "x"],
+        ["--a", "x", "--b", "\t"],
+    ],
+)
+def test_exit_usage_on_empty_distance_operand(capsys, argv):
+    # an empty value exits 1 here as it does for match and encode
+    assert run(["distance", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err in (
+        "micronorm: argument --a: must not be empty\n",
+        "micronorm: argument --b: must not be empty\n",
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, concept",
+    [
+        (["encode", "--concept", "a__b"], "a__b"),
+        (["encode", "--concept", "gud_"], "gud_"),
+        (["match", "--query", "gud_"], "gud_"),
+        (["match", "--query", "___"], "___"),
+    ],
+)
+def test_empty_segment_named_by_encode_and_match(capsys, argv, concept):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"micronorm: concept {concept!r} has an empty segment\n"
 
 
 def test_invalid_utf8_on_stdin_replaced_and_dropped():

@@ -15,7 +15,6 @@ from micronorm.g2p import (
     parse_rules,
     squeeze_repeats,
 )
-from micronorm.memo import MEMO_SIZE
 from micronorm.resources import data_path
 
 
@@ -153,36 +152,18 @@ def test_tables_copied_from_the_callers():
     assert engine.encode_concept("ba_ab") == "YX_ZZ"
 
 
-def test_repeated_concept_memoized():
-    engine = _fresh_engine()
-    first = engine.encode_concept("b4_lunch")
-    assert engine.encode_concept("b4_lunch") == first
-    info = engine.memo.cache_info()
-    # the second call was answered from the memo
-    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
-
-
 def test_encoding_error_raised_every_call():
     engine = _fresh_engine()
     for _ in range(3):
         with pytest.raises(EncodingError):
             engine.encode_concept("gud_café")
-    info = engine.memo.cache_info()
-    assert (info.hits, info.misses, info.currsize) == (0, 3, 0)
 
 
-def test_memo_bounded(lexicon):
-    engine = _fresh_engine()
-    concepts = [e.concept for e in lexicon.entries[: MEMO_SIZE + 50]]
-    for concept in concepts:
-        engine.encode_concept(concept)
-    before = engine.memo.cache_info()
-    assert before.currsize == MEMO_SIZE
-    # the newest is still there; the oldest went first
-    engine.encode_concept(concepts[-1])
-    assert engine.memo.cache_info().hits == before.hits + 1
-    engine.encode_concept(concepts[0])
-    assert engine.memo.cache_info().misses == before.misses + 1
+@pytest.mark.parametrize("concept", ["gud_", "_gud", "a__b", "___", ""])
+def test_empty_segment_named(concept):
+    # the segment is missing, not made of characters outside [a-z0-9-]
+    with pytest.raises(EncodingError, match=r"^concept '.*' has an empty segment$"):
+        default_engine().encode_concept(concept)
 
 
 def test_engine_freed_without_gc():

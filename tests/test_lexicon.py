@@ -4,7 +4,7 @@ import json
 import pytest
 
 from micronorm.errors import LexiconError
-from micronorm.g2p import G2PEngine, default_engine
+from micronorm.g2p import default_engine
 from micronorm.lexicon import (
     LexiconEntry,
     canonicalize_concept,
@@ -64,15 +64,6 @@ def test_compile_single_entry(g2p):
     assert [f.name for f in dataclasses.fields(LexiconEntry)] == ["concept", "polarity_value", "ipa"]
     assert lex.entries[0].ipa == "æb@ndæn"
     assert polarity_label(lex.entries[0].polarity_value) == "Negative"
-
-
-def test_compile_leaves_the_encoding_memo_alone():
-    # every concept is encoded exactly once, so memoizing would only churn
-    engine = G2PEngine(dict(default_engine().exceptions), default_engine().rules)
-    lex = compile_lexicon([("abandon", -0.84), ("a_little", 0.1)], engine)
-    assert [e.ipa for e in lex.entries] == ["æb@ndæn", "æ_lItæl"]
-    info = engine.memo.cache_info()
-    assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
 
 
 def test_compile_allows_code_collisions(g2p):

@@ -82,7 +82,7 @@ def _reference_extract(tokens):
 
 def _reference_resolve(concept, span, variant, cfg):
     try:
-        query = default_engine().encode_unmemoized(concept)
+        query = default_engine().encode_concept(concept)
     except EncodingError as exc:
         return NormalizationOutcome(concept, span, False, error=str(exc), reason="encoding_error")
     best = _nearest(query, variant)
