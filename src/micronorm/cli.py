@@ -212,6 +212,8 @@ def cmd_compile(args, emit):
 def cmd_encode(args, emit):
     g2p = _build_g2p(args)
     for concept in _input_lines(args.concept):
+        if not concept.strip():
+            continue  # a blank stdin line; a blank --concept exits 1 when parsed
         emit(
             {
                 "concept": concept,

@@ -10,8 +10,14 @@ contribute nothing.
 
 Each candidate's resolution is a ``NormalizationOutcome`` named tuple,
 built positionally (its field order is part of the contract), which also
-records why it was or was not accepted; the sentence result, built once
-per sentence, stays a frozen dataclass (``SentencePolarity``).
+records why it was or was not accepted.  ``sentence_polarity`` resolves
+all of a sentence's candidates in one loop, with no call per candidate;
+``normalize_concept`` stays the one-candidate path, which
+``normalize_sentence`` takes, and the two resolve alike.  The sentence
+result stays a frozen dataclass (``SentencePolarity``), but
+``sentence_polarity`` builds it with ``object.__new__`` and one update
+of its ``__dict__``, in field order, rather than through the generated
+``__init__`` and its one ``object.__setattr__`` per field.
 
 Microtext repeats its shorthand, so each ``PipelineConfig`` memoizes how
 an OOV concept resolves under it in ``memo``, an ``lru_cache`` of
@@ -165,27 +171,64 @@ def sentence_polarity(
     model: GateModel | None = None,
     with_normalization: bool = True,
 ) -> SentencePolarity:
-    """Score a sentence by averaging its accepted concepts' polarities."""
+    """Score a sentence by averaging its accepted concepts' polarities.
+
+    Resolves each candidate as ``normalize_concept`` does, in one loop: an
+    IV candidate by one ``surface_map`` probe, an OOV one by one
+    ``cfg.memo`` probe (a miss calls ``g2p.encode_concept`` and ``top_k``).
+    """
     # one token pass serves both the gate and extraction
     tokens = tokenize(sentence)
     gated_as = UNGATED
     if cfg.gate_enabled and model is not None:
         gated_as, _ = model.predict(tokens)
-    candidates = extract_concepts(tokens, lex)
     normalize = with_normalization and gated_as != IV
-    trace = tuple(
-        normalize_concept(c, lex, idx, g2p, cfg)
-        if normalize or c.matched_iv
-        else _new(
-            NormalizationOutcome, (c.concept, c.span, False, None, None, None, None, "not_normalized")
-        )
-        for c in candidates
+    surface_map, entries, memo, new = lex.surface_map, lex.entries, cfg.memo, _new
+    trace, values = [], []
+    for concept, span, matched_iv in extract_concepts(tokens, lex):
+        if matched_iv:
+            entry_id = surface_map.get(concept)
+            if entry_id is None:
+                raise MicronormError(f"IV candidate {concept!r} missing from lexicon")
+            entry = entries[entry_id]
+            value = entry.polarity_value
+            trace.append(
+                new(NormalizationOutcome, (concept, span, True, entry.concept, 0.0, value, None, "iv"))
+            )
+            values.append(value)
+        elif normalize:
+            accepted, entry_id, distance, error, reason = memo(concept, idx, g2p)
+            if accepted:
+                entry = entries[entry_id]
+                value = entry.polarity_value
+                trace.append(
+                    new(
+                        NormalizationOutcome,
+                        (concept, span, True, entry.concept, distance, value, None, reason),
+                    )
+                )
+                values.append(value)
+            else:
+                trace.append(
+                    new(NormalizationOutcome, (concept, span, False, None, None, None, error, reason))
+                )
+        else:
+            trace.append(
+                new(
+                    NormalizationOutcome,
+                    (concept, span, False, None, None, None, None, "not_normalized"),
+                )
+            )
+    # sum() over a list, not a running total: from Python 3.12 sum() of floats
+    # is compensated, so the two can differ in the last bit
+    score = sum(values) / len(values) if values else 0.0
+    # the generated __init__ of a frozen dataclass sets each field through
+    # object.__setattr__; filling __dict__ in field order gives the same object
+    result = object.__new__(SentencePolarity)
+    result.__dict__.update(
+        label=polarity_label(score), score=score, trace=tuple(trace), gated_as=gated_as
     )
-    accepted = [o.polarity_value for o in trace if o.accepted]
-    score = sum(accepted) / len(accepted) if accepted else 0.0
-    return SentencePolarity(
-        label=polarity_label(score), score=score, trace=trace, gated_as=gated_as
-    )
+    return result
 
 
 def normalize_sentence(

@@ -77,6 +77,15 @@ def test_encode_stdin_stream(capsys, monkeypatch):
     assert records[1]["soundex"] == "A153"
 
 
+def test_encode_stdin_skips_blank_lines(capsys, monkeypatch):
+    # a blank line between concepts used to end the stream with exit 2
+    monkeypatch.setattr("sys.stdin", io.StringIO("good\n\n  \t\nbad\n\n"))
+    assert run(["encode"]) == 0
+    captured = capsys.readouterr()
+    assert [json.loads(line)["concept"] for line in captured.out.splitlines()] == ["good", "bad"]
+    assert captured.err == ""
+
+
 def test_distance(capsys):
     assert run(["distance", "--a", "apple", "--b", "appl"]) == 0
     (record,) = _json_lines(capsys)

@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import gc
+import pickle
 import weakref
 
 import pytest
@@ -245,6 +247,109 @@ def test_normalize_sentence_calls_the_names_a_tracer_rebinds(monkeypatch, lexico
     assert encoded == oov
     monkeypatch.undo()
     assert normalize_sentence("gud mornin c u 2morrow lol", lexicon, idx, engine, cfg) == out
+
+
+def test_sentence_polarity_calls_the_names_a_tracer_rebinds(monkeypatch, lexicon):
+    """``sentence_polarity`` resolves its candidates in its own loop, with no
+    call per candidate, but the benchmark's tracer still sees its extraction
+    through the module global ``extract_concepts`` and every resolution-memo
+    miss through the module global ``top_k`` and the engine's instance
+    ``encode_concept``; a memo hit reaches neither."""
+    engine = G2PEngine(dict(default_engine().exceptions), default_engine().rules)
+    idx = build_index(lexicon)
+    cfg = PipelineConfig()
+    sentences = ["gud mornin c u 2morrow lol", "i wil kil u", "gud hapy gud l0l"]
+    extracted, searched, encoded = [], [], []
+    original_extract, original_top_k = pipeline.extract_concepts, pipeline.top_k
+
+    def extract_spy(*args, **kwargs):
+        extracted.append((args, original_extract(*args, **kwargs)))
+        return extracted[-1][1]
+
+    def top_k_spy(*args, **kwargs):
+        searched.append(args)
+        return original_top_k(*args, **kwargs)
+
+    def encode_spy(surface):
+        encoded.append(surface)
+        return G2PEngine.encode_concept(engine, surface)
+
+    monkeypatch.setattr(pipeline, "extract_concepts", extract_spy)
+    monkeypatch.setattr(pipeline, "top_k", top_k_spy)
+    engine.encode_concept = encode_spy
+    first = [sentence_polarity(s, lexicon, idx, engine, cfg) for s in sentences]
+    assert [args for args, _ in extracted] == [(oov_gate.tokenize(s), lexicon) for s in sentences]
+    assert all(args[1] is lexicon for args, _ in extracted)
+    oov = [c.concept for _, candidates in extracted for c in candidates if not c.matched_iv]
+    misses = list(dict.fromkeys(oov))  # first occurrences, in candidate order
+    assert len(misses) >= 5 and len(misses) < len(oov)
+    assert encoded == misses
+    assert all(args[0] is idx for args in searched)
+    assert [args[1] for args in searched] == [G2PEngine.encode_concept(engine, c) for c in misses]
+    # a second pass extracts again and finds every OOV concept in the memo
+    for calls in (extracted, searched, encoded):
+        calls.clear()
+    assert [sentence_polarity(s, lexicon, idx, engine, cfg) for s in sentences] == first
+    assert len(extracted) == len(sentences) and searched == [] and encoded == []
+
+
+def test_missing_iv_candidate_fails_the_sentence(monkeypatch, lexicon, g2p, index, cfg):
+    # sentence_polarity probes surface_map itself, as normalize_concept does
+    cand = ConceptCandidate(concept="not_in_lexicon_xyz", span=(0, 1), matched_iv=True)
+    monkeypatch.setattr(pipeline, "extract_concepts", lambda tokens, lex: [cand])
+    with pytest.raises(MicronormError, match="not_in_lexicon_xyz"):
+        sentence_polarity("anything", lexicon, index, g2p, cfg)
+
+
+@pytest.mark.parametrize("variant", list(DistanceVariant))
+def test_sentence_polarity_resolves_as_normalize_concept_does(lexicon, g2p, gate_corpus, suite, variant):
+    """``sentence_polarity`` resolves candidates in its own loop and
+    ``normalize_concept`` one at a time; every trace must be what
+    ``normalize_concept`` gives for each candidate, or the ``not_normalized``
+    record for a candidate the gate or ``with_normalization=False`` skips."""
+    idx = build_index(lexicon, variant)
+    model = train(gate_corpus, kind=LR_KIND, seed=42)
+    # the corpora hold no concept G2P cannot encode ("hgh") and, under charset,
+    # none whose best match is too far ("vvv")
+    texts = [text for text, _ in gate_corpus] + [text for text, _ in suite] + ["hgh vvv x gud"]
+    setups = (
+        (PipelineConfig(variant=variant), None, True),
+        (PipelineConfig(variant=variant, gate_enabled=True), model, True),
+        (PipelineConfig(variant=variant), None, False),
+    )
+    for cfg, gate, with_normalization in setups:
+        one_at_a_time = dataclasses.replace(cfg)  # its own resolution memo
+        routes = set()
+        for text in texts:
+            result = sentence_polarity(
+                text, lexicon, idx, g2p, cfg, model=gate, with_normalization=with_normalization
+            )
+            tokens = oov_gate.tokenize(text)
+            gated_as = gate.predict(tokens)[0] if gate else pipeline.UNGATED
+            normalize = with_normalization and gated_as != IV
+            want = tuple(
+                normalize_concept(c, lexicon, idx, g2p, one_at_a_time)
+                if normalize or c.matched_iv
+                else NormalizationOutcome(c.concept, c.span, False, reason="not_normalized")
+                for c in extract_concepts(tokens, lexicon)
+            )
+            assert result.trace == want, text
+            assert result.gated_as == gated_as
+            values = [o.polarity_value for o in want if o.accepted]
+            assert result.score == (sum(values) / len(values) if values else 0.0)
+            routes |= {o.reason for o in result.trace}
+        if with_normalization:
+            assert routes >= SEARCH_REASONS | {"iv", "encoding_error"}
+        assert ("not_normalized" in routes) == (gate is not None or not with_normalization)
+
+
+def test_sentence_result_equals_one_built_by_its_init(lexicon, g2p, index, cfg):
+    # sentence_polarity fills the frozen instance's __dict__ without __init__
+    result = sentence_polarity("m so hapy but i wil kil u", lexicon, index, g2p, cfg)
+    built = SentencePolarity(result.label, result.score, result.trace, result.gated_as)
+    assert result == built and hash(result) == hash(built) and repr(result) == repr(built)
+    assert list(vars(result)) == [f.name for f in dataclasses.fields(SentencePolarity)]
+    assert pickle.loads(pickle.dumps(result)) == result and copy.copy(result) == result
 
 
 _WORDS = ["gud", "hapy", "c", "u", "2morrow", "don't", "a", "little", "naïve", "café",
