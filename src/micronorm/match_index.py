@@ -1,101 +1,144 @@
-"""Exact top-k Dice search over a dense symbol-incidence matrix.
+"""Exact top-k Dice search over bit-sliced counts in Python ints.
 
-The index holds, for its variant, a 0/1 matrix with one row per symbol
-(character or bigram) of the lexicon's alphabet and one column per
-entry, plus each entry's symbol-set size.  A query sums the rows of its
-own symbols in one numpy call, which yields |A&B| for every entry at
-once.  Query symbols absent from the lexicon still count toward |A|.
+The index holds, for its variant, one Python int per symbol (character
+or bigram) of the lexicon's alphabet, whose bit e is set when entry e
+holds the symbol, and one int per symbol-set size z, whose bit e is set
+when entry e has z symbols.  Bit positions are entry ids throughout.
 
-Only entries within 1 - min_sim are scored.  For a query of |A|
-symbols the distance 1 - 2s/(|A|+z) of an entry of set size z falls as
-the shared count s grows, so each size z has a least s that brings it
-within the bound.  That table is read off the very float64 expression
-the distance uses, over every (s, z) pair up to the widest entry, so it
-is exact; gathered per entry and memoized by (|A|, 1 - min_sim), it
-turns the cut into one integer compare.  The survivors' Dice distances
-then follow in float64 exactly as ``dice_distance`` computes them, down
-to the last bit, and the result list is identical to the exhaustive
-scan restricted to distance <= 1 - min_sim, ordered by (distance,
-entry_id).  At min_sim = 0 every entry qualifies and all are scored.
+A query adds the ints of its own symbols into a bit-sliced counter
+(O'Neil & Quass 1997; Rinfret, O'Neil & O'Neil 2001): one int per bit
+of the shared count |A&B|, with a ripple carry from each slice into the
+next.  Query symbols absent from the lexicon still count toward |A|.
+The entries sharing exactly s symbols are then the AND of the slices,
+each taken as is or complemented as s's bit says; when s needs more
+bits than the counter has, no entry shares s.
+
+The distance 1 - 2s/(|A|+z) depends on the entry only through (s, z),
+so the search walks those pairs instead of the entries.  The pairs are
+grouped by that very float64 expression, as ``dice_distance`` computes
+it, in ascending order and no further than 1 - min_sim; the groups are
+memoized by (|A|, query symbols in the lexicon, 1 - min_sim).  Each
+group's entries are the OR over its pairs of "shares s" AND "has size
+z", and they come out in ascending id order until k are found.  So the
+result list is identical, down to the last bit of each distance, to the
+exhaustive scan restricted to distance <= 1 - min_sim, ordered by
+(distance, entry_id).
 
 Bigram Dice falls back to character sets when either string is shorter
 than two characters, so a bigram index also keeps the character-set
-matrix: a short query is scored on it alone, and short entries are
-scored on their character sets in place of their bigram ones.
+ints: a short query is searched on them alone, and short entries are
+counted on their character sets in place of their bigram ones.  Their
+groups merge with the bigram groups by distance, and equal distances OR
+their entries into one mask.
 
 Each index memoizes its answers by (query, k, min_sim) in ``memo``, an
 ``lru_cache`` of ``MEMO_SIZE`` answers, so a repeated query skips the
-scoring.  The memo stores a tuple of ``MatchResult`` named tuples and
+walk.  The memo stores a tuple of ``MatchResult`` named tuples and
 every caller gets a fresh list of those same instances: sharing them is
 safe because neither the tuple nor its records can be altered.  The
-memo and the floor tables are caches over the index's arrays, never
-over the index itself, so an index is freed by reference counting alone.
+memo and the group tables are caches over the index's ints, never over
+the index itself, so an index is freed by reference counting alone.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from typing import Callable
-
-import numpy as np
+from heapq import merge
+from itertools import groupby
+from operator import itemgetter
+from typing import Callable, Iterator
 
 from .errors import SimilarityError
 from .lexicon import PhonLexicon
 from .memo import MEMO_SIZE
 from .similarity import DistanceVariant, MatchResult, symbol_set
 
+# ascending distances, each with the (shared count, set size) pairs at it
+_Groups = tuple[tuple[float, tuple[tuple[int, int], ...]], ...]
+
 
 @dataclass(frozen=True, eq=False)
 class _Incidence:
     variant: DistanceVariant
-    ids: np.ndarray  # entry id of each column
-    rows: dict[str, int]  # symbol -> matrix row
-    matrix: np.ndarray  # uint8, symbols x columns
-    # symbol-set size of each column's entry, as float64 so the distance
-    # needs no int-to-float cast; sums of small integers stay exact
-    sizes: np.ndarray
-    # smallest unsigned type holding the widest entry set plus one: a column
-    # sum never exceeds its entry's set size, and one more marks a size that
-    # no shared count brings within the bound; narrow sums are several times
-    # faster than int64 ones
-    acc: np.dtype
-    # (|A|, 1 - min_sim) -> per-column floor, see _floor
-    floor: Callable[[int, float], np.ndarray] = field(repr=False)
+    symbols: dict[str, int]  # symbol -> the entries holding it, one bit each
+    sizes: tuple[int, ...]  # set size z -> the entries of that size, one bit each
+    # (|A|, hits, 1 - min_sim) -> the pairs within the bound, see _groups
+    groups: Callable[[int, int, float], _Groups] = field(repr=False)
 
-    def within(self, query: str, bound: float) -> tuple[np.ndarray, np.ndarray]:
-        """Ids of the entries within ``bound`` of ``query``, and their distances."""
+    def walk(self, query: str, bound: float) -> Iterator[tuple[float, int]]:
+        """Each distance within ``bound`` of ``query`` that some entry is at,
+        ascending, with those entries as the set bits of an int."""
         qsyms = symbol_set(query, self.variant)
-        hits = [self.rows[s] for s in qsyms if s in self.rows]
-        shared = self.matrix.take(hits, axis=0).sum(axis=0, dtype=self.acc)
-        ids, sizes = self.ids, self.sizes
-        if bound < 1.0:  # no distance exceeds 1, so at 1 every entry qualifies
-            keep = (shared >= self.floor(len(qsyms), bound)).nonzero()[0]
-            ids, shared, sizes = ids[keep], shared[keep], sizes[keep]
-        # same float64 expression as dice_distance, so bit-identical
-        return ids, 1.0 - 2.0 * shared / (len(qsyms) + sizes)
+        slices: list[int] = []  # slices[j]: the entries whose shared count has bit j set
+        hits = 0
+        for sym in qsyms:
+            carry = self.symbols.get(sym)
+            if carry is None:
+                continue
+            hits += 1
+            for j, plane in enumerate(slices):
+                slices[j] = plane ^ carry
+                carry &= plane
+                if not carry:
+                    break
+            else:
+                slices.append(carry)
+        sharing: dict[int, int] = {}  # s -> the entries sharing exactly s symbols
+        for dist, pairs in self.groups(len(qsyms), hits, bound):
+            found = 0
+            for s, z in pairs:
+                ids = sharing.get(s)
+                if ids is None:
+                    ids = sharing[s] = _sharing(slices, s)
+                found |= ids & self.sizes[z]
+            if found:
+                yield dist, found
 
 
-def _floor(counts: np.ndarray, acc: np.dtype, qsize: int, bound: float) -> np.ndarray:
-    """Per column of set size ``counts``, the fewest shared symbols that
-    bring its entry within ``bound`` of a query of ``qsize`` symbols."""
-    s = np.arange(counts.max(initial=0) + 1, dtype=np.float64)
-    # the distance falls as s grows, so the counts it leaves beyond
-    # the bound are a prefix of 0, 1, ...; their number is the least
-    # count that qualifies, or the widest size plus one if none does
-    beyond = 1.0 - 2.0 * s[:, None] / (qsize + s) > bound
-    return beyond.sum(axis=0, dtype=acc)[counts]
+def _sharing(slices: list[int], s: int) -> int:
+    """The entries whose count in ``slices`` is ``s``, as bits; negative
+    when ``slices`` is empty and ``s`` is 0, so AND it with a positive mask."""
+    if s >> len(slices):  # wider than every count: no entry shares s
+        return 0
+    ids = -1
+    for j, plane in enumerate(slices):
+        ids &= plane if s >> j & 1 else ~plane
+    return ids
 
 
-def _incidence(encodings: list[str], variant: DistanceVariant, ids: np.ndarray) -> _Incidence:
-    sets = [symbol_set(encodings[i], variant) for i in ids.tolist()]
-    rows = {sym: r for r, sym in enumerate(sorted(set().union(*sets)))}
-    counts = np.array([len(s) for s in sets], dtype=np.intp)
-    matrix = np.zeros((len(rows), len(sets)), dtype=np.uint8)
-    matrix[[rows[sym] for s in sets for sym in s], np.repeat(np.arange(len(sets)), counts)] = 1
-    acc = np.min_scalar_type(counts.max(initial=0) + 1)
-    floor = lru_cache(MEMO_SIZE)(partial(_floor, counts, acc))
-    return _Incidence(variant, ids, rows, matrix, counts.astype(np.float64), acc, floor)
+def _groups(widths: tuple[int, ...], qsize: int, hits: int, bound: float) -> _Groups:
+    """The (s, z) pairs of shared count s and set size z that put an entry
+    within ``bound`` of a query of ``qsize`` symbols, ``hits`` of them in
+    the lexicon, grouped by distance in ascending order."""
+    at: dict[float, list[tuple[int, int]]] = {}
+    for z in widths:
+        for s in range(min(hits, z) + 1):
+            # same float64 expression as dice_distance, so bit-identical
+            dist = 1.0 - 2.0 * s / (qsize + z)
+            if dist <= bound:
+                at.setdefault(dist, []).append((s, z))
+    return tuple((dist, tuple(at[dist])) for dist in sorted(at))
+
+
+def _incidence(encodings: list[str], variant: DistanceVariant, ids: list[int]) -> _Incidence:
+    # bitmaps as little-endian bytes while filling; one bit per entry id
+    row = partial(bytearray, ids[-1] // 8 + 1 if ids else 0)
+    symbols: defaultdict[str, bytearray] = defaultdict(row)
+    of_size: defaultdict[int, bytearray] = defaultdict(row)
+    for e in ids:
+        byte, bit = e >> 3, 1 << (e & 7)
+        syms = symbol_set(encodings[e], variant)
+        for sym in syms:
+            symbols[sym][byte] |= bit
+        of_size[len(syms)][byte] |= bit
+    return _Incidence(
+        variant,
+        {sym: int.from_bytes(bits, "little") for sym, bits in symbols.items()},
+        tuple(int.from_bytes(of_size.get(z, b""), "little") for z in range(max(of_size, default=0) + 1)),
+        lru_cache(MEMO_SIZE)(partial(_groups, tuple(sorted(of_size)))),
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,13 +155,13 @@ class MatchIndex:
 def build_index(lex: PhonLexicon, variant: DistanceVariant = DistanceVariant.CHAR_SET) -> MatchIndex:
     encodings = [e.ipa for e in lex.entries]
     concepts = [e.concept for e in lex.entries]
-    chars = _incidence(encodings, DistanceVariant.CHAR_SET, np.arange(len(encodings)))
+    chars = _incidence(encodings, DistanceVariant.CHAR_SET, list(range(len(encodings))))
     scores, short = chars, None
     if variant is not DistanceVariant.CHAR_SET:
-        is_short = np.array([len(enc) < 2 for enc in encodings], dtype=bool)
-        scores = _incidence(encodings, variant, np.flatnonzero(~is_short))
-        if is_short.any():
-            short = _incidence(encodings, DistanceVariant.CHAR_SET, np.flatnonzero(is_short))
+        is_short = [len(enc) < 2 for enc in encodings]
+        scores = _incidence(encodings, variant, [e for e, s in enumerate(is_short) if not s])
+        if any(is_short):
+            short = _incidence(encodings, DistanceVariant.CHAR_SET, [e for e, s in enumerate(is_short) if s])
     memo = lru_cache(MEMO_SIZE)(partial(_search, concepts, scores, chars, short))
     return MatchIndex(variant, concepts, scores, chars, short, memo)
 
@@ -150,21 +193,22 @@ def _search(
 ) -> tuple[MatchResult, ...]:
     bound = 1.0 - min_sim
     if len(query) < 2:
-        ids, dist = chars.within(query, bound)
+        walk = chars.walk(query, bound)
+    elif short is None:
+        walk = scores.walk(query, bound)
     else:
-        ids, dist = scores.within(query, bound)
-        if short is not None:
-            short_ids, short_dist = short.within(query, bound)
-            ids, dist = np.concatenate((ids, short_ids)), np.concatenate((dist, short_dist))
-
-    # nothing beyond the k-th smallest distance can make the cut; ties at
-    # it all survive, and lexsort orders them by entry_id
-    if k < dist.size:
-        keep = (dist <= np.partition(dist, k - 1)[k - 1]).nonzero()[0]
-        ids, dist = ids[keep], dist[keep]
-    order = np.lexsort((ids, dist))[:k]
-    # tolist() hands back built-in int/float for callers that serialize results
-    return tuple(
-        MatchResult(entry_id=eid, concept=concepts[eid], distance=d)
-        for eid, d in zip(ids[order].tolist(), dist[order].tolist())
-    )
+        # one mask per distance, so entries tied across the two walks
+        # still come out in id order
+        both = merge(scores.walk(query, bound), short.walk(query, bound), key=itemgetter(0))
+        # the two walks hold disjoint entries, so a sum of their masks is their OR
+        walk = ((dist, sum(ids for _, ids in tied)) for dist, tied in groupby(both, itemgetter(0)))
+    found: list[MatchResult] = []
+    for dist, ids in walk:
+        while ids:
+            low = ids & -ids
+            eid = low.bit_length() - 1
+            found.append(MatchResult(eid, concepts[eid], dist))
+            if len(found) == k:
+                return tuple(found)
+            ids ^= low
+    return tuple(found)

@@ -1,5 +1,5 @@
 """Size of the bounded memos: a pipeline config's OOV resolutions, and behind
-them top-k search and its integer floors.
+them top-k search and its (shared count, set size) groups.
 
 Microtext tokens repeat: the bundled gate corpus has 1,427 OOV
 candidate occurrences but 203 distinct tokens, and one pass over its 200

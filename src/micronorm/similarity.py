@@ -11,6 +11,7 @@ immutable and hashable, so stored results can be shared between callers.
 from __future__ import annotations
 
 from enum import Enum
+from operator import add
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import SimilarityError
@@ -37,7 +38,7 @@ def symbol_set(s: str, variant: DistanceVariant = DistanceVariant.CHAR_SET) -> f
     characters has no bigrams and keeps its character set.
     """
     if variant is DistanceVariant.BIGRAM and len(s) >= 2:
-        return frozenset(s[i : i + 2] for i in range(len(s) - 1))
+        return frozenset(map(add, s, s[1:]))  # s[i] + s[i + 1]: each adjacent pair
     return frozenset(s)
 
 

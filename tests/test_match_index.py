@@ -1,15 +1,18 @@
 import gc
 import itertools
+import os
 import random
 import string
+import subprocess
 import sys
 import threading
 import weakref
 from fractions import Fraction
+from pathlib import Path
 
-import numpy as np
 import pytest
 
+import micronorm
 from micronorm.errors import SimilarityError
 from micronorm.g2p import G2PEngine, default_engine
 from micronorm.lexicon import LexiconEntry, PhonLexicon, compile_lexicon
@@ -102,8 +105,8 @@ def _assert_scan_equal(idx, lex, queries, variant, ks, min_sims):
 
 @pytest.mark.parametrize("variant", list(DistanceVariant))
 def test_exactness_on_the_floor(lexicon, variant):
-    # the integer floor decides which entries get a distance at all, so
-    # entries exactly at 1 - min_sim must neither drop out nor slip in
+    # the walk stops past 1 - min_sim, so entries exactly at it must
+    # neither drop out nor slip in
     min_sims = (0.0, 0.3, 0.45, 0.5, 0.9, 1.0)
     queries = _floor_queries(lexicon, variant, min_sims[1:], per_sim=3, seed=11)
     queries += _random_queries(lexicon, 10, seed=13)
@@ -128,11 +131,9 @@ def test_short_entries_meet_the_floor(lexicon):
     )
 
 
-def test_accumulator_sized_by_the_widest_entry_set(lexicon):
-    for variant in DistanceVariant:
-        idx = build_index(lexicon, variant)
-        assert idx.scores.acc == np.uint8 and idx.chars.acc == np.uint8
-    # 260 distinct characters and 259 distinct bigrams overflow uint8 sums
+def test_counts_past_255_stay_exact():
+    # 260 distinct characters and 259 distinct bigrams: shared counts
+    # past 255 need a ninth counter slice
     wide = "".join(chr(0x100 + i) for i in range(260))
     ipas = [wide, wide[:200], wide[100:], wide[::2], "gUd"]
     queries = [wide, wide[1:], wide[:255], wide[::2] + "gUd", "gUd"]
@@ -141,27 +142,41 @@ def test_accumulator_sized_by_the_widest_entry_set(lexicon):
             [LexiconEntry(f"c{i}", 0.0, ipa) for i, ipa in enumerate(ipas)], variant
         )
         idx = build_index(lex, variant)
-        assert idx.scores.acc == np.uint16
-        for query in queries:
-            qsyms = symbol_set(query, variant)
-            hits = [idx.scores.rows[s] for s in qsyms if s in idx.scores.rows]
-            shared = idx.scores.matrix[hits].sum(axis=0, dtype=idx.scores.acc)
-            assert shared.tolist() == [len(qsyms & symbol_set(ipa, variant)) for ipa in ipas]
         _assert_scan_equal(idx, lex, queries, variant, (1, 5), (0.0, 0.3, 0.5, 0.9, 1.0))
 
 
-def test_floor_memo_bounded(lexicon):
+def test_hit_count_wider_than_the_counter():
+    # the query holds two lexicon symbols, but no entry shares both, so the
+    # counter has one slice; a count of 2 must then match no entry, not
+    # the entries whose one slice reads 0
+    lex = PhonLexicon(
+        [LexiconEntry(f"c{i}", 0.0, ipa) for i, ipa in enumerate(["ax", "by", "cz"])],
+        DistanceVariant.CHAR_SET,
+    )
+    idx = build_index(lex, DistanceVariant.CHAR_SET)
+    got = top_k(idx, "ab", k=3)
+    assert [(m.entry_id, m.distance) for m in got] == [(0, 0.5), (1, 0.5), (2, 1.0)]
+    assert got == closest_match_scan("ab", lex, k=3)
+
+
+def test_group_memo_bounded(lexicon):
     gc.disable()  # only reference counting may free the index
     try:
         idx = build_index(lexicon)
         for i in range(MEMO_SIZE + 10):
             top_k(idx, "gVd", k=1, min_sim=0.5 + i / 100_000)
-        assert idx.scores.floor.cache_info().currsize == MEMO_SIZE
+        assert idx.scores.groups.cache_info().currsize == MEMO_SIZE
         ref = weakref.ref(idx)
         del idx
         assert ref() is None
     finally:
         gc.enable()
+
+
+def test_import_leaves_numpy_out():
+    code = "import sys, micronorm, micronorm.cli; sys.exit('numpy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(micronorm.__file__).parents[1])}
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
 
 
 def test_single_symbol_entry_one_posting():
@@ -205,7 +220,7 @@ def test_min_sim_zero_pads_to_k():
 
 
 def test_results_hold_builtin_types(lexicon):
-    # callers pass results straight to JSON output; numpy scalars would leak
+    # callers pass results straight to JSON output
     got = top_k(lexicon.match_index, "gVd", k=5, min_sim=0.5)
     assert got and all(
         type(m.entry_id) is int and type(m.distance) is float for m in got
